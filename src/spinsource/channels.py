@@ -110,8 +110,8 @@ def dual_channel(channel: KrausChannel) -> KrausChannel:
 # ---------------------------------------------------------------------------
 
 
-def _block_layout(op_sites: int, site_dim: int, channel_dim: int):
-    """Number of channel blocks covering the chain, or raise AlignmentError."""
+def _block_sites(site_dim: int, channel_dim: int) -> int:
+    """Sites one channel block spans, or raise AlignmentError."""
     block = 0
     d = 1
     while d < channel_dim:
@@ -121,8 +121,12 @@ def _block_layout(op_sites: int, site_dim: int, channel_dim: int):
         raise AlignmentError(
             f"channel dim {channel_dim} is not a power of site dim {site_dim}"
         )
-    if block == 0:
-        block = 1  # channel_dim == site_dim
+    return max(block, 1)
+
+
+def _block_layout(op_sites: int, site_dim: int, channel_dim: int):
+    """Number of channel blocks covering the chain, or raise AlignmentError."""
+    block = _block_sites(site_dim, channel_dim)
     if op_sites % block != 0:
         raise AlignmentError(
             f"channel spans {block} sites, which does not divide {op_sites}"

@@ -1,19 +1,24 @@
 """Finite-alphabet classical processes: iid, Markov, and mixtures.
 
 A process here is a shift-invariant (or deliberately not) measure on
-one-sided symbol sequences, represented by enough structure to compute
-any finite-word probability exactly.  The module also carries the
-analytic ergodicity classifier used as an oracle for the numerical
-mixing tests: for finite-state chains the three properties have clean
-structural characterizations (Cesaro convergence needs an irreducible
-support, full mixing additionally needs aperiodicity, and a nontrivial
-mixture of distinct stationary measures is never ergodic).
+one-sided symbol sequences.  Every process carries one hidden-chain form
+(initial, transition, emission), built at construction: a hidden state
+starts from ``initial``, steps with the row-stochastic ``transition``, and
+emits each symbol from its row of ``emission``.  An iid process is one
+hidden state, a Markov process emits its own state, and a mixture joins
+its components' chains block-diagonally.  Word probabilities, correlation
+sweeps and the analytic ergodicity classifier are written once against
+that form.  The classifier is the oracle for the numerical mixing tests:
+for finite chains the three properties have clean structural
+characterizations (Cesaro convergence needs every closed class the
+process reaches to carry the same statistics, full mixing additionally
+needs an aperiodic class).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +28,8 @@ CONSISTENCY_TOL = 1e-9
 STOCHASTIC_TOL = 1e-10
 WORD_ENUMERATION_CAP = 10**6
 _EIG_ONE_TOL = 1e-9
+_EDGE_TOL = 1e-14
+_SETTLE_CHECK = 64
 
 
 def _check_word_cap(k: int, length: int) -> None:
@@ -46,18 +53,42 @@ def _probability_vector(p, what: str) -> np.ndarray:
     return arr
 
 
+class HiddenChain(NamedTuple):
+    """initial (n,), transition (n, n) and emission (n, k) of a symbol process.
+
+    Pr(w_1 .. w_m) = initial D(w_1) T D(w_2) ... T D(w_m) 1 with
+    D(x) = diag(emission[:, x]).
+    """
+
+    initial: np.ndarray
+    transition: np.ndarray
+    emission: np.ndarray
+
+
+def _hidden_chain(initial, transition, emission) -> HiddenChain:
+    arrays = [np.array(a, dtype=float) for a in (initial, transition, emission)]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return HiddenChain(*arrays)
+
+
+class _HiddenChainProcess:
+    @property
+    def alphabet_size(self) -> int:
+        return self.chain.emission.shape[1]
+
+
 @dataclass(frozen=True, eq=False)
-class IIDProcess:
+class IIDProcess(_HiddenChainProcess):
     """Independent identically distributed symbols with marginal ``probs``."""
 
     probs: np.ndarray
+    chain: HiddenChain = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _probability_vector(self.probs, "iid marginal"))
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.probs.size
+        probs = _probability_vector(self.probs, "iid marginal")
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "chain", _hidden_chain([1.0], [[1.0]], probs[None, :]))
 
     @property
     def kind(self) -> str:
@@ -65,7 +96,7 @@ class IIDProcess:
 
 
 @dataclass(frozen=True, eq=False)
-class MarkovProcess:
+class MarkovProcess(_HiddenChainProcess):
     """Stationary-by-default Markov chain with row-stochastic ``transition``.
 
     ``initial`` defaults to a stationary distribution of the chain, which
@@ -75,6 +106,7 @@ class MarkovProcess:
 
     transition: np.ndarray
     initial: np.ndarray | None = None
+    chain: HiddenChain = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.array(self.transition, dtype=float)
@@ -97,10 +129,7 @@ class MarkovProcess:
             )
         if self.initial.size != p.shape[0]:
             raise ShapeMismatchError("initial distribution size does not match transition")
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.transition.shape[0]
+        object.__setattr__(self, "chain", _hidden_chain(self.initial, p, np.eye(p.shape[0])))
 
     @property
     def kind(self) -> str:
@@ -111,11 +140,16 @@ class MarkovProcess:
 
 
 @dataclass(frozen=True, eq=False)
-class MixtureProcess:
-    """Convex combination of iid or Markov components (no nesting)."""
+class MixtureProcess(_HiddenChainProcess):
+    """Convex combination of processes; components may themselves be mixtures.
+
+    The hidden chain is the block-diagonal join of the components' chains
+    with initial vector w_j initial_j.
+    """
 
     weights: np.ndarray
     components: tuple
+    chain: HiddenChain = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -124,22 +158,25 @@ class MixtureProcess:
         comps = tuple(self.components)
         if len(comps) != self.weights.size:
             raise ShapeMismatchError("one weight per component required")
-        if not comps:
-            raise ValueError("mixture needs at least one component")
-        sizes = set()
-        for c in comps:
-            if isinstance(c, MixtureProcess):
-                raise TypeError("mixtures of mixtures are not supported; flatten first")
-            if not isinstance(c, (IIDProcess, MarkovProcess)):
-                raise TypeError(f"unsupported component type {type(c).__name__}")
-            sizes.add(c.alphabet_size)
+        chains = [getattr(c, "chain", None) for c in comps]
+        if any(ch is None for ch in chains):
+            raise TypeError("mixture components must be classical processes")
+        sizes = sorted({ch.emission.shape[1] for ch in chains})
         if len(sizes) != 1:
-            raise ShapeMismatchError(f"components disagree on alphabet size: {sorted(sizes)}")
+            raise ShapeMismatchError(f"components disagree on alphabet size: {sizes}")
         object.__setattr__(self, "components", comps)
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.components[0].alphabet_size
+        n = sum(ch.initial.size for ch in chains)
+        transition = np.zeros((n, n))
+        start = 0
+        for ch in chains:
+            stop = start + ch.initial.size
+            transition[start:stop, start:stop] = ch.transition
+            start = stop
+        object.__setattr__(self, "chain", _hidden_chain(
+            np.concatenate([w * ch.initial for w, ch in zip(self.weights, chains)]),
+            transition,
+            np.vstack([ch.emission for ch in chains]),
+        ))
 
     @property
     def kind(self) -> str:
@@ -180,26 +217,20 @@ def stationary_distribution(transition) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 
+def _hidden_table(chain: HiddenChain, length: int) -> np.ndarray:
+    """Pr(w_1 .. w_length, h_length = h) as a (k,)*length + (n,) array."""
+    table = (chain.initial[:, None] * chain.emission).T
+    for _ in range(length - 1):
+        table = (table @ chain.transition)[..., None, :] * chain.emission.T
+    return table
+
+
 def marginal_table(process: ClassicalProcess, length: int) -> np.ndarray:
     """All word probabilities of a given length as a (k,)*length array."""
     if length < 1:
         raise ValueError(f"word length must be >= 1, got {length}")
-    k = process.alphabet_size
-    _check_word_cap(k, length)
-    if isinstance(process, IIDProcess):
-        table = process.probs
-        for _ in range(length - 1):
-            table = np.multiply.outer(table, process.probs)
-        return table
-    if isinstance(process, MarkovProcess):
-        table = process.initial.copy()
-        for _ in range(length - 1):
-            table = table[..., None] * process.transition
-        return table
-    return sum(
-        w * marginal_table(c, length)
-        for w, c in zip(process.weights, process.components)
-    )
+    _check_word_cap(process.alphabet_size, length)
+    return _hidden_table(process.chain, length).sum(axis=-1)
 
 
 def word_probability(process: ClassicalProcess, word) -> float:
@@ -210,16 +241,11 @@ def word_probability(process: ClassicalProcess, word) -> float:
     k = process.alphabet_size
     if any(s < 0 or s >= k for s in word):
         raise ValueError(f"word {word} has symbols outside range({k})")
-    if isinstance(process, IIDProcess):
-        return float(np.prod([process.probs[s] for s in word]))
-    if isinstance(process, MarkovProcess):
-        p = process.initial[word[0]]
-        for a, b in zip(word, word[1:]):
-            p *= process.transition[a, b]
-        return float(p)
-    return float(
-        sum(w * word_probability(c, word) for w, c in zip(process.weights, process.components))
-    )
+    chain = process.chain
+    v = chain.initial * chain.emission[:, word[0]]
+    for s in word[1:]:
+        v = (v @ chain.transition) * chain.emission[:, s]
+    return float(v.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,33 +365,15 @@ def block_mean(process: ClassicalProcess, f_table) -> complex:
     return complex(np.sum(t * f))
 
 
-def _markov_correlation_sweep(chain: MarkovProcess, f, g, gaps) -> np.ndarray:
-    """corr(gap) = sum_w Pr(w) f(w) [P^(gap+1)](w_last, z_first) C(z) g(z)."""
-    p = chain.transition
-    t_f = marginal_table(chain, f.ndim)
-    u = (t_f * f).reshape(-1, chain.alphabet_size).sum(axis=0)
-    h = g
-    for _ in range(g.ndim - 1):
-        h = np.einsum("...ab,ab->...a", h, p)
-    out = np.empty(len(gaps), dtype=complex)
-    prev_gap = -1
-    v = u
-    for idx, gap in enumerate(gaps):
-        if gap < prev_gap:
-            raise ValueError("gaps must be nondecreasing")
-        for _ in range(gap - prev_gap):
-            v = v @ p
-        prev_gap = gap
-        out[idx] = v @ h
-    return out
-
-
 def classical_correlation_sweep(process: ClassicalProcess, f_table, g_table, gaps) -> np.ndarray:
     """E[f(w_1..w_m) g(w_{m+gap+1}..w_{m+gap+m'})] for each gap, exactly.
 
-    Tables may be complex valued.  Markov chains are evaluated through the
-    transfer structure of the chain, so cost grows linearly in the largest
-    gap and never enumerates long words.
+    Tables may be complex valued and gaps may come in any order.  The
+    value is u T^(gap+1) h through the hidden chain, where u carries the
+    first block into its last hidden state and h folds the second block
+    back to its first, so cost grows linearly in the largest gap and never
+    enumerates long words.  Propagation stops once a step leaves u T^j
+    bitwise unchanged: every later gap has exactly that value.
     """
     gaps = [int(i) for i in gaps]
     if any(i < 0 for i in gaps):
@@ -373,15 +381,22 @@ def classical_correlation_sweep(process: ClassicalProcess, f_table, g_table, gap
     k = process.alphabet_size
     f = _as_block_table(f_table, k, "first block function")
     g = _as_block_table(g_table, k, "second block function")
-    if isinstance(process, IIDProcess):
-        val = block_mean(process, f) * block_mean(process, g)
-        return np.full(len(gaps), val, dtype=complex)
-    if isinstance(process, MarkovProcess):
-        return _markov_correlation_sweep(process, f, g, sorted(gaps))
-    acc = np.zeros(len(gaps), dtype=complex)
-    for w, c in zip(process.weights, process.components):
-        acc += w * classical_correlation_sweep(c, f_table, g_table, gaps)
-    return acc
+    chain = process.chain
+    p, e = chain.transition.astype(complex), chain.emission
+    u = (_hidden_table(chain, f.ndim) * f[..., None]).reshape(-1, p.shape[0]).sum(axis=0)
+    h = np.einsum("...z,hz->...h", g, e)
+    for _ in range(g.ndim - 1):
+        h = np.einsum("...zh,hz->...h", h @ p.T, e)
+    out = np.empty(len(gaps), dtype=complex)
+    v, step, settled = u, -1, False  # v = u T^(step+1)
+    for idx in np.argsort(gaps, kind="stable"):
+        while step < gaps[idx] and not settled:
+            nxt = v @ p
+            step += 1
+            settled = step % _SETTLE_CHECK == 0 and np.array_equal(nxt, v)
+            v = nxt
+        out[idx] = v @ h
+    return out
 
 
 def classical_correlation(process: ClassicalProcess, f_table, g_table, gap: int) -> complex:
@@ -397,10 +412,10 @@ def classical_correlation(process: ClassicalProcess, f_table, g_table, gap: int)
 class ClassificationReport:
     """Structural facts and the exact ergodicity verdict triple for a process.
 
-    The verdict fields describe the shift-invariant process (Markov chains
-    are judged as if started from their stationary distribution; the
-    ``stationary`` flag records whether the actual initial distribution
-    already is stationary).
+    The verdict fields describe the shift-invariant process the chain
+    settles into (the closed classes it reaches, each run from its own
+    stationary law); the ``stationary`` flag records whether the actual
+    initial distribution already is stationary.
     """
 
     kind: str
@@ -417,105 +432,71 @@ class ClassificationReport:
         return (self.ergodic_mean, self.weak_mixing, self.strong_mixing)
 
 
-def _support_structure(chain: MarkovProcess) -> tuple:
-    """(irreducible, period, unique) of the chain on its invariant support.
-
-    A stationary process is judged on the support of its own initial
-    distribution (the invariant measure it actually realizes); a chain
-    started elsewhere is judged as if restarted from a stationary one.
-    """
-    pi, unique = stationary_distribution(chain.transition)
-    if chain.is_stationary():
-        pi = chain.initial
-    support = np.where(pi > 1e-12)[0]
-    p = chain.transition[np.ix_(support, support)]
-    n = support.size
-    adj = p > 1e-14
-
-    def reachable(mat):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.where(mat[u])[0]:
-                    if not seen[v]:
-                        seen[v] = True
-                        nxt.append(v)
-            frontier = nxt
-        return seen
-
-    irreducible = bool(reachable(adj).all() and reachable(adj.T).all())
-    if not irreducible:
-        return False, 0, unique
-    # BFS levels from state 0; period = gcd over edges of level(u) + 1 - level(v)
-    level = np.full(n, -1)
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.where(adj[u])[0]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    period = 0
-    for u in range(n):
-        for v in np.where(adj[u])[0]:
-            period = gcd(period, int(level[u]) + 1 - int(level[v]))
-    return True, abs(period), unique
+def _closed_classes(transition: np.ndarray) -> tuple:
+    """(closed communicating classes as index arrays, reachability matrix)."""
+    n = transition.shape[0]
+    reach = (transition > _EDGE_TOL) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(float) @ reach) > 0
+    # a state is recurrent iff every state it reaches reaches it back; the
+    # states a recurrent state reaches form its closed class
+    recurrent = [i for i in range(n) if reach[reach[i], i].all()]
+    classes = {tuple(np.flatnonzero(reach[i])) for i in recurrent}
+    return [np.array(c) for c in sorted(classes)], reach
 
 
-def _tables_equal(a: ClassicalProcess, b: ClassicalProcess, max_len: int = 3) -> bool:
-    return all(
-        np.allclose(marginal_table(a, ell), marginal_table(b, ell), atol=1e-12)
-        for ell in range(1, max_len + 1)
-    )
+def _period(adj: np.ndarray) -> int:
+    """Period of an irreducible chain: gcd over edges u->v of level(u) + 1 - level(v)."""
+    level = np.full(adj.shape[0], -1)
+    frontier = np.arange(adj.shape[0]) == 0
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        depth += 1
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+    u, v = np.nonzero(adj)
+    return int(np.gcd.reduce(level[u] + 1 - level[v]))
+
+
+def _class_tables(chain: HiddenChain, cls: np.ndarray, max_len: int = 3) -> list:
+    """Word tables up to max_len of one closed class run from its stationary law."""
+    p = chain.transition[np.ix_(cls, cls)]
+    sub = HiddenChain(stationary_distribution(p)[0], p, chain.emission[cls])
+    return [_hidden_table(sub, ell).sum(axis=-1) for ell in range(1, max_len + 1)]
 
 
 def classify_process(process: ClassicalProcess) -> ClassificationReport:
     """Exact verdict triple (ergodic mean, weak mixing, strong mixing).
 
-    For finite-state stationary chains: Cesaro averaging of correlations
-    converges for every observable pair iff the support is a single
-    irreducible class; the two mixing notions additionally require
-    aperiodicity (and coincide).  A nontrivial mixture of components with
-    different finite-word statistics is never ergodic.
+    The hidden chain decomposes into closed classes.  Cesaro averaging of
+    correlations converges for every observable pair iff all the classes
+    the process reaches carry the same symbol statistics (compared on word
+    tables up to length 3); the two mixing notions additionally need one
+    of those classes to be aperiodic (and coincide).  ``irreducible``
+    reports that the reached classes are statistically one, ``period`` the
+    smallest period among them (0 when not irreducible), and
+    ``unique_stationary`` that every closed class of the hidden chain,
+    reached or not, carries the same statistics.
     """
-    if isinstance(process, IIDProcess):
-        return ClassificationReport("iid", True, True, 1, True, True, True, True)
-    if isinstance(process, MarkovProcess):
-        irreducible, period, unique = _support_structure(process)
-        mixing = irreducible and period == 1
-        return ClassificationReport(
-            "markov",
-            process.is_stationary(),
-            irreducible,
-            period,
-            unique,
-            irreducible,
-            mixing,
-            mixing,
+    chain = process.chain
+    p = chain.transition
+    stationary = bool(np.max(np.abs(chain.initial @ p - chain.initial)) <= CONSISTENCY_TOL)
+    classes, reach = _closed_classes(p)
+    tables = [_class_tables(chain, c) for c in classes] if len(classes) > 1 else []
+
+    def same(indices) -> bool:
+        return all(
+            np.allclose(t, t0, atol=1e-12)
+            for i in indices[1:]
+            for t, t0 in zip(tables[i], tables[indices[0]])
         )
-    live = [
-        (w, c) for w, c in zip(process.weights, process.components) if w > 1e-12
-    ]
-    stationary = all(
-        c.is_stationary() if isinstance(c, MarkovProcess) else True for _, c in live
+
+    start = chain.initial > 1e-12
+    live = [j for j, c in enumerate(classes) if reach[np.ix_(start, c)].any()]
+    ergodic = same(live)
+    period = min(_period(p[np.ix_(classes[j], classes[j])] > _EDGE_TOL) for j in live) if ergodic else 0
+    mixing = ergodic and period == 1
+    return ClassificationReport(
+        process.kind, stationary, ergodic, period, same(list(range(len(classes)))),
+        ergodic, mixing, mixing,
     )
-    all_same = all(_tables_equal(live[0][1], c) for _, c in live[1:])
-    if all_same:
-        inner = classify_process(live[0][1])
-        return ClassificationReport(
-            "mixture",
-            stationary,
-            inner.irreducible,
-            inner.period,
-            inner.unique_stationary,
-            inner.ergodic_mean,
-            inner.weak_mixing,
-            inner.strong_mixing,
-        )
-    return ClassificationReport("mixture", stationary, False, 0, False, False, False, False)

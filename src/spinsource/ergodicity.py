@@ -27,13 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import Operator, random_observable, word_projector
-from .sources import (
-    ClassicallyCorrelatedSource,
-    IIDSource,
-    _peel_transforms,
-    source_block_mean,
-    source_correlation,
-)
+from .sources import _resolve_backend, source_block_mean, source_correlation
 
 DEFAULT_N_MAX = 2000
 TRANSFER_TOL = 1e-2
@@ -312,17 +306,6 @@ def random_pairs(site_dim: int, block_sites: int, count: int, seed: int) -> list
         b = random_observable(block_sites, int(child[2 * t + 1]), site_dim)
         out.append((f"rand_{t}", a, b))
     return out
-
-
-def _resolve_backend(source, backend: str) -> str:
-    if backend != "auto":
-        return backend
-    base, _ = _peel_transforms(source, [])
-    return (
-        "transfer"
-        if isinstance(base, (IIDSource, ClassicallyCorrelatedSource))
-        else "dense"
-    )
 
 
 def sweep_report(

@@ -24,17 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel, apply_dual, validate_alphabet
-from .classical import (
-    ClassicalProcess,
-    IIDProcess,
-    MarkovProcess,
-    MixtureProcess,
-    WORD_ENUMERATION_CAP,
-    classical_correlation_sweep,
-)
-from .errors import BackendError, CapExceededError, ShapeMismatchError
-from .operators import DensityOperator, Operator, dense_cap, trace_pairing
+from .channels import KrausChannel, _block_sites, apply_channel, apply_dual, validate_alphabet
+from .classical import ClassicalProcess, _check_word_cap, classical_correlation_sweep
+from .errors import BackendError, ShapeMismatchError
+from .operators import DensityOperator, Operator, _check_cap, trace_pairing
 
 SOURCE_CHECK_TOL = 1e-9
 
@@ -145,14 +138,7 @@ class ChannelTransformedSource:
     channel: KrausChannel
 
     def __post_init__(self):
-        d = self.base.site_dim
-        dim = self.channel.dim
-        while dim > 1 and dim % d == 0:
-            dim //= d
-        if dim != 1:
-            raise ShapeMismatchError(
-                f"channel dim {self.channel.dim} is not a power of site dim {d}"
-            )
+        _block_sites(self.base.site_dim, self.channel.dim)
 
     @property
     def site_dim(self) -> int:
@@ -184,35 +170,22 @@ def channel_transform_source(source: QuantumSource, channel: KrausChannel) -> Ch
 def _require_sites(sites: int, site_dim: int) -> None:
     if sites < 1:
         raise ValueError(f"site count must be >= 1, got {sites}")
-    if site_dim**sites > dense_cap():
-        raise CapExceededError(
-            f"{site_dim}**{sites} exceeds the dense cap {dense_cap()}",
-            cap=dense_cap(),
-        )
+    _check_cap(site_dim**sites)
 
 
 def _correlated_density(process: ClassicalProcess, emissions: list, sites: int) -> np.ndarray:
-    if isinstance(process, IIDProcess):
-        sigma = sum(p * r for p, r in zip(process.probs, emissions))
-        out = np.array([[1.0 + 0j]])
-        for _ in range(sites):
-            out = np.kron(out, sigma)
-        return out
-    if isinstance(process, MarkovProcess):
-        # T_j(x) = R_x (x) sum_y P[x, y] T_{j-1}(y); rho = sum_x init(x) T_m(x)
-        p = process.transition
-        k = process.alphabet_size
-        blocks = list(emissions)
-        for _ in range(sites - 1):
-            blocks = [
-                np.kron(emissions[x], sum(p[x, y] * blocks[y] for y in range(k)))
-                for x in range(k)
-            ]
-        return sum(process.initial[x] * blocks[x] for x in range(k))
-    return sum(
-        w * _correlated_density(c, emissions, sites)
-        for w, c in zip(process.weights, process.components)
-    )
+    # over the hidden chain (init, P, E), with S_h = sum_x E[h, x] R_x:
+    # T_1(h) = S_h, T_j(h) = S_h (x) sum_g P[h, g] T_{j-1}(g); rho = sum_h init(h) T_m(h)
+    init, p, e = process.chain
+    states = [sum(q * r for q, r in zip(row, emissions)) for row in e]
+    n = len(states)
+    blocks = list(states)
+    for _ in range(sites - 1):
+        blocks = [
+            np.kron(states[h], sum(p[h, g] * blocks[g] for g in range(n)))
+            for h in range(n)
+        ]
+    return sum(init[h] * blocks[h] for h in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +208,7 @@ def _peel_transforms(source: QuantumSource, observables: list) -> tuple:
 def _amplitude_rows(vectors: np.ndarray, blocks: int) -> np.ndarray:
     """Row w of the result is the product vector psi_w1 (x) ... (x) psi_wm."""
     k, d = vectors.shape
-    if k**blocks > WORD_ENUMERATION_CAP:
-        raise CapExceededError(
-            f"{k}**{blocks} words exceeds enumeration cap {WORD_ENUMERATION_CAP}",
-            cap=WORD_ENUMERATION_CAP,
-        )
+    _check_word_cap(k, blocks)
     v = vectors
     for _ in range(blocks - 1):
         v = (v[:, None, :, None] * vectors[None, :, None, :]).reshape(
@@ -255,6 +224,20 @@ def expectation_table(alphabet: AlphabetSpec, a: Operator) -> np.ndarray:
     v = _amplitude_rows(alphabet.vectors, a.sites)
     g = np.einsum("wi,ij,wj->w", v.conj(), a.entries, v)
     return g.reshape((alphabet.size,) * a.sites)
+
+
+def _resolve_backend(source: QuantumSource, backend: str) -> str:
+    """The backend a correlation on ``source`` runs on.
+
+    "auto" picks transfer when the base under any channel transforms is an
+    iid or classically correlated source, and dense otherwise.
+    """
+    if backend not in ("auto", "dense", "transfer"):
+        raise BackendError(f"unknown backend {backend!r}")
+    if backend != "auto":
+        return backend
+    base, _ = _peel_transforms(source, [])
+    return "transfer" if isinstance(base, (IIDSource, ClassicallyCorrelatedSource)) else "dense"
 
 
 def source_block_mean(source: QuantumSource, a: Operator) -> complex:
@@ -283,16 +266,9 @@ def source_correlation(
         raise ValueError("gaps must be >= 0")
     if a.site_dim != source.site_dim or b.site_dim != source.site_dim:
         raise ShapeMismatchError("observable site dim does not match source")
-    if backend not in ("auto", "dense", "transfer"):
-        raise BackendError(f"unknown backend {backend!r}")
-    if backend == "auto":
-        base, _ = _peel_transforms(source, [])
-        backend = (
-            "transfer"
-            if isinstance(base, (IIDSource, ClassicallyCorrelatedSource))
-            else "dense"
-        )
-    if backend == "dense":
+    if _resolve_backend(source, backend) == "dense":
+        if gaps:
+            _check_cap(source.site_dim ** (a.sites + max(gaps) + b.sites))
         out = np.empty(len(gaps), dtype=complex)
         for idx, gap in enumerate(gaps):
             rho = source.density(a.sites + gap + b.sites)

@@ -1,5 +1,6 @@
 """Classical processes: word measures, correlations, and the exact classifier."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -244,6 +245,97 @@ class TestClassifier:
         assert not report.stationary and report.verdicts == (True, True, True)
 
 
+# full ClassificationReport tuples: (kind, stationary, irreducible, period,
+# unique_stationary, ergodic_mean, weak_mixing, strong_mixing)
+PINNED_CLASSIFICATIONS = {
+    "iid_zero_prob": (
+        ss.IIDProcess([0.7, 0.0, 0.3]),
+        ("iid", True, True, 1, True, True, True, True),
+    ),
+    "markov_positive": (
+        ss.MarkovProcess(APERIODIC_T),
+        ("markov", True, True, 1, True, True, True, True),
+    ),
+    "markov_sparse": (
+        ss.MarkovProcess([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.3, 0.7]]),
+        ("markov", True, True, 1, True, True, True, True),
+    ),
+    "markov_cyclic3": (
+        ss.MarkovProcess(np.roll(np.eye(3), 1, axis=1)),
+        ("markov", True, True, 3, True, True, False, False),
+    ),
+    "markov_reducible": (
+        ss.MarkovProcess(np.eye(2), initial=[0.5, 0.5]),
+        ("markov", True, False, 0, False, False, False, False),
+    ),
+    "markov_transient": (
+        ss.MarkovProcess([[1.0, 0.0], [0.5, 0.5]]),
+        ("markov", True, True, 1, True, True, True, True),
+    ),
+    "markov_nonstationary": (
+        ss.MarkovProcess(APERIODIC_T, initial=[1.0, 0.0]),
+        ("markov", False, True, 1, True, True, True, True),
+    ),
+    "mixture_identical": (
+        ss.MixtureProcess([0.3, 0.7], (ss.IIDProcess([0.8, 0.2]), ss.IIDProcess([0.8, 0.2]))),
+        ("mixture", True, True, 1, True, True, True, True),
+    ),
+    "mixture_distinct": (
+        ss.MixtureProcess([0.4, 0.6], (ss.MarkovProcess(APERIODIC_T), ss.IIDProcess([0.2, 0.8]))),
+        ("mixture", True, False, 0, False, False, False, False),
+    ),
+    # the zero-weight period-2 component is still a closed class of the
+    # hidden chain with other statistics, so the stationary law is not unique
+    "mixture_zero_weight": (
+        ss.MixtureProcess([1.0, 0.0], (ss.IIDProcess([0.5, 0.5]), ss.MarkovProcess(PERIOD2_T))),
+        ("mixture", True, True, 1, False, True, True, True),
+    ),
+    "mixture_identical_cyclic": (
+        ss.MixtureProcess([0.5, 0.5], (ss.MarkovProcess(PERIOD2_T), ss.MarkovProcess(PERIOD2_T))),
+        ("mixture", True, True, 2, True, True, False, False),
+    ),
+    "mixture_identical_reducible": (
+        ss.MixtureProcess(
+            [0.5, 0.5],
+            (
+                ss.MarkovProcess(np.eye(2), initial=[0.5, 0.5]),
+                ss.MarkovProcess(np.eye(2), initial=[0.5, 0.5]),
+            ),
+        ),
+        ("mixture", True, False, 0, False, False, False, False),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CLASSIFICATIONS))
+def test_pinned_classification(name):
+    process, expected = PINNED_CLASSIFICATIONS[name]
+    assert dataclasses.astuple(ss.classify_process(process)) == expected
+
+
+class TestEarlyExit:
+    """Long sweeps stop propagating at a bitwise fixed point; values must not move."""
+
+    @pytest.mark.parametrize(
+        "process",
+        [
+            ss.MixtureProcess([0.3, 0.7], (ss.IIDProcess([0.9, 0.1]), ss.IIDProcess([0.2, 0.8]))),
+            ss.MarkovProcess(APERIODIC_T),
+            ss.MarkovProcess(PERIOD2_T),
+        ],
+        ids=["iid_mixture", "aperiodic", "period2"],
+    )
+    def test_long_sweep_equals_pointwise(self, process):
+        f = np.array([0.25 + 1j, 1.5])
+        g = np.array([[1.0, -2.0], [0.5j, 0.75]])
+        gaps = list(range(400))
+        sweep = ss.classical_correlation_sweep(process, f, g, gaps)
+        for gap in (0, 1, 63, 64, 65, 128, 129, 200, 257, 399):
+            assert sweep[gap] == ss.classical_correlation(process, f, g, gap)
+        backwards = ss.classical_correlation_sweep(process, f, g, gaps[::-1])
+        assert np.array_equal(backwards, sweep[::-1])
+
+
 class TestProcessValidation:
     def test_bad_probs(self):
         with pytest.raises(ValueError):
@@ -257,10 +349,23 @@ class TestProcessValidation:
         with pytest.raises(ValueError):
             ss.MarkovProcess([[1.2, -0.2], [0.5, 0.5]])
 
-    def test_nested_mixture_rejected(self):
-        inner = ss.MixtureProcess([1.0], (ss.IIDProcess([0.5, 0.5]),))
+    def test_nested_mixture_equals_flattened(self):
+        a, b, c = ss.MarkovProcess(APERIODIC_T), ss.IIDProcess([0.2, 0.8]), ss.MarkovProcess(PERIOD2_T)
+        nested = ss.MixtureProcess([0.5, 0.5], (ss.MixtureProcess([0.5, 0.5], (a, b)), c))
+        flat = ss.MixtureProcess([0.25, 0.25, 0.5], (a, b, c))
+        for length in range(1, 5):
+            assert np.array_equal(ss.marginal_table(nested, length), ss.marginal_table(flat, length))
+        f = np.array([[1.0, -0.5j], [0.25, 2.0]])
+        gaps = [7, 0, 3, 150]
+        assert np.array_equal(
+            ss.classical_correlation_sweep(nested, f, f, gaps),
+            ss.classical_correlation_sweep(flat, f, f, gaps),
+        )
+        assert ss.classify_process(nested) == ss.classify_process(flat)
+
+    def test_non_process_component_rejected(self):
         with pytest.raises(TypeError):
-            ss.MixtureProcess([1.0], (inner,))
+            ss.MixtureProcess([1.0], ([0.5, 0.5],))
 
     def test_alphabet_size_mismatch(self):
         with pytest.raises(ShapeMismatchError):

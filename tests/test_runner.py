@@ -66,6 +66,18 @@ class TestConfigParsing:
                 {"name": "x", "seed": 1.5, "source": {"kind": "iid", "state": RHO_SITE}}
             )
 
+    @pytest.mark.parametrize("seed", [True, False, -1])
+    def test_seed_must_be_nonnegative_int(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig.from_dict(
+                {"name": "x", "seed": seed, "source": {"kind": "iid", "state": RHO_SITE}}
+            )
+
+    @pytest.mark.parametrize("key", ["n_max", "observable_count", "check_sites", "site_dim"])
+    def test_integer_fields_reject_booleans(self, key):
+        with pytest.raises(ConfigError, match=key):
+            iid_config(**{key: True})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             ExperimentConfig.from_dict(
@@ -301,6 +313,14 @@ class TestCLI:
         payload = json.loads((tmp_path / "cli_over.report.json").read_text())
         assert payload["config"]["seed"] == 9
         assert payload["config"]["n_max"] == 64
+
+    @pytest.mark.parametrize("flag,value", [("--n-max", "3"), ("--seed", "-5")])
+    def test_bad_override_is_config_error(self, tmp_path, capsys, flag, value):
+        path = self.write_config(tmp_path, name="cli_bad_override")
+        code = cli.main([str(path), "--output-dir", str(tmp_path), flag, value])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "cli_bad_override.report.json").exists()
 
     def test_parallel_jobs_byte_identical(self, tmp_path):
         p1 = self.write_config(tmp_path, name="par_a")

@@ -64,6 +64,10 @@ class TestDensities:
         with pytest.raises(ShapeMismatchError):
             ss.IIDSource(ss.random_density(2, seed=1))
 
+    def test_transform_needs_power_of_site_dim(self, fleet):
+        with pytest.raises(AlignmentError):
+            ss.channel_transform_source(fleet["iid"], ss.depolarizing_channel(0.3, dim=3))
+
     def test_alphabet_size_must_match_process(self, processes):
         with pytest.raises(ShapeMismatchError):
             ss.ClassicallyCorrelatedSource(
@@ -220,6 +224,49 @@ class TestCorrelations:
         a = ss.random_observable(1, seed=76)
         with pytest.raises(CapExceededError):
             ss.source_correlation(fleet["aperiodic"], a, a, [40], "dense")
+
+    def test_dense_cap_checked_before_any_state(self, fleet):
+        built = []
+
+        class Counting:
+            site_dim = 2
+
+            def density(self, sites):
+                built.append(sites)
+                return fleet["aperiodic"].density(sites)
+
+        a = ss.random_observable(1, seed=76)
+        with pytest.raises(CapExceededError):
+            ss.source_correlation(Counting(), a, a, [0, 1, 40], "dense")
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "process",
+        [
+            ss.MarkovProcess(APERIODIC_T),
+            ss.MixtureProcess([0.4, 0.6], (ss.MarkovProcess(APERIODIC_T), ss.IIDProcess([0.2, 0.8]))),
+        ],
+        ids=["markov", "markov_iid_mixture"],
+    )
+    def test_transfer_keeps_gap_order(self, process):
+        src = ss.ClassicallyCorrelatedSource(process, ss.AlphabetSpec(NONORTHO))
+        a = ss.random_observable(1, seed=78)
+        b = ss.random_observable(1, seed=79)
+        gaps = [5, 0, 3]
+        transfer = ss.source_correlation(src, a, b, gaps, "transfer")
+        dense = ss.source_correlation(src, a, b, gaps, "dense")
+        assert np.max(np.abs(transfer - dense)) <= 1e-9
+        ordered = ss.source_correlation(src, a, b, sorted(gaps), "transfer")
+        assert np.array_equal(transfer, ordered[[2, 0, 1]])
+
+    def test_nested_mixture_source_matches_flattened(self):
+        a_proc, b_proc = ss.MarkovProcess(APERIODIC_T), ss.IIDProcess([0.2, 0.8])
+        nested = ss.MixtureProcess([0.5, 0.5], (ss.MixtureProcess([0.5, 0.5], (a_proc, b_proc)), a_proc))
+        flat = ss.MixtureProcess([0.75, 0.25], (a_proc, b_proc))
+        alph = ss.AlphabetSpec(NONORTHO)
+        got = ss.ClassicallyCorrelatedSource(nested, alph).density(3).entries
+        expected = ss.ClassicallyCorrelatedSource(flat, alph).density(3).entries
+        assert np.max(np.abs(got - expected)) <= 1e-15
 
     def test_transfer_handles_long_gaps(self, fleet):
         a = ss.random_observable(1, seed=77)
