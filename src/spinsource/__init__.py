@@ -94,13 +94,13 @@ from .sources import (
     source_correlation,
 )
 from .pinching import (
-    PinchedSource,
     PinchingBasis,
     PinchingPropertyReport,
     computational_basis,
     conditional_expectation,
     diagonal_observable,
     measure_to_state,
+    pinching_channel,
     source_measure_table,
     state_to_measure,
     verify_expectation_properties,

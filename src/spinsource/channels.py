@@ -22,6 +22,13 @@ UNIT_NORM_TOL = 1e-12
 GRAM_MIN_EIG = 1e-10
 
 
+def _check_kraus_count(count: int) -> None:
+    if count > KRAUS_COUNT_CAP:
+        raise CapExceededError(
+            f"{count} Kraus operators exceeds cap {KRAUS_COUNT_CAP}", cap=KRAUS_COUNT_CAP
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A finite family of equal-shape square Kraus operators.
@@ -38,11 +45,7 @@ class KrausChannel:
         ops = tuple(np.array(a, dtype=complex) for a in self.operators)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
-        if len(ops) > KRAUS_COUNT_CAP:
-            raise CapExceededError(
-                f"{len(ops)} Kraus operators exceeds cap {KRAUS_COUNT_CAP}",
-                cap=KRAUS_COUNT_CAP,
-            )
+        _check_kraus_count(len(ops))
         for a in ops:
             if a.shape != (self.dim, self.dim):
                 raise ShapeMismatchError(
@@ -167,12 +170,7 @@ def block_channel(channel: KrausChannel, block_sites: int) -> KrausChannel:
     """Tensor power of a channel: all products A_{i1} (x) ... (x) A_{ik}."""
     if block_sites < 1:
         raise ValueError(f"block size must be >= 1, got {block_sites}")
-    count = len(channel) ** block_sites
-    if count > KRAUS_COUNT_CAP:
-        raise CapExceededError(
-            f"{count} product Kraus operators exceeds cap {KRAUS_COUNT_CAP}",
-            cap=KRAUS_COUNT_CAP,
-        )
+    _check_kraus_count(len(channel) ** block_sites)
     ops = [np.eye(1, dtype=complex)]
     for _ in range(block_sites):
         ops = [np.kron(x, a) for x in ops for a in channel.operators]

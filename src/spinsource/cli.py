@@ -4,9 +4,11 @@
                [--seed N] [--n-max N] [--backend B] [--jobs J] [-v]
 
 Each config produces a structured JSON report and a decay CSV next to
-it (see runner module for the schema).  Exit code: 0 when every
-selected check and test verdict of every config is pass, 1 when any is
-not, 2 on config errors, 3 when a resource cap was hit.
+it (see runner module for the schema).  Every config is loaded before
+any runs; one that would write the same files as an earlier one is a
+config error and does not run.  Exit code: 0 when every selected check
+and test verdict of every config is pass, 1 when any is not, 2 on
+config errors, 3 when a resource cap was hit.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 from .errors import CapExceededError, ConfigError
-from .runner import run_config_file
+from .runner import ExperimentConfig, emit_report, load_config_file, run_experiment
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -43,15 +46,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(path: str, overrides: dict) -> tuple:
-    try:
-        report, written = run_config_file(path, overrides)
-    except ConfigError as exc:
+def _failure(exc: Exception) -> tuple:
+    if isinstance(exc, ConfigError):
         return EXIT_CONFIG_ERROR, None, [], f"config error: {exc}"
+    return EXIT_CAP_ERROR, None, [], f"resource cap: {exc}"
+
+
+def _run_one(config) -> tuple:
+    if not isinstance(config, ExperimentConfig):
+        return config  # the failure that kept it from loading
+    try:
+        report = run_experiment(config)
     except CapExceededError as exc:
-        return EXIT_CAP_ERROR, None, [], f"resource cap: {exc}"
+        return _failure(exc)
     code = EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
-    return code, report, written, None
+    return code, report, emit_report(report), None
 
 
 def _print_result(path: str, code: int, report, written, error, verbose: bool) -> None:
@@ -89,12 +98,23 @@ def main(argv=None) -> int:
         for key in ("seed", "n_max", "backend", "output_dir")
         if getattr(args, key) is not None
     }
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(args.configs) == 1:
-        results = [_run_one(path, overrides) for path in args.configs]
+    loaded = []
+    owners = {}
+    for path in args.configs:
+        try:
+            config = load_config_file(path, overrides)
+            target = (Path(config.output_dir).resolve(), config.name)
+            if target in owners:
+                raise ConfigError(f"writes the same files as {owners[target]}", "name")
+            owners[target] = path
+            loaded.append(config)
+        except (ConfigError, CapExceededError) as exc:
+            loaded.append(_failure(exc))
+    if args.jobs <= 1 or len(loaded) == 1:
+        results = [_run_one(item) for item in loaded]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda p: _run_one(p, overrides), args.configs))
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_run_one, loaded))
     worst = EXIT_PASS
     for path, (code, report, written, error) in zip(args.configs, results):
         _print_result(path, code, report, written, error, args.verbose)

@@ -6,7 +6,10 @@ as the chain basis {|w>}.  The pinching map
     E(a) = sum_w |w><w| a |w><w|
 
 is the conditional expectation onto the maximal abelian subalgebra of
-operators diagonal in that basis.  Diagonal entries of a state in the
+operators diagonal in that basis.  It is the sitewise product of the
+complete-dephasing channel with Kraus operators |u_i><u_i|, so it runs
+through the Kraus layer like any other channel, and a pinched source is
+a channel-transformed source.  Diagonal entries of a state in the
 same basis form a probability measure on words, mu(w) = <w| rho |w>,
 and placing a measure back on the diagonal inverts the map.  Pinching a
 consistent (or stationary) source yields a consistent (or stationary)
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _apply_sitewise
+from .channels import KrausChannel, apply_dual, kraus_channel, unitary_channel
 from .classical import MeasureTable
 from .errors import ShapeMismatchError
 from .operators import DensityOperator, Operator
@@ -50,39 +53,32 @@ class PinchingBasis:
     def site_dim(self) -> int:
         return self.site_vectors.shape[0]
 
-    @property
-    def is_computational(self) -> bool:
-        return bool(np.array_equal(self.site_vectors, np.eye(self.site_dim)))
-
 
 def computational_basis(site_dim: int = 2) -> PinchingBasis:
     return PinchingBasis(np.eye(site_dim, dtype=complex))
 
 
-def _to_basis(entries: np.ndarray, basis: PinchingBasis, sites: int) -> np.ndarray:
-    u_dag = basis.site_vectors.conj().T
-    return _apply_sitewise([u_dag], entries, sites, basis.site_dim)
+def pinching_channel(basis: PinchingBasis) -> KrausChannel:
+    """Complete dephasing in the basis: Kraus operators |u_i><u_i|.
 
-
-def _from_basis(entries: np.ndarray, basis: PinchingBasis, sites: int) -> np.ndarray:
-    return _apply_sitewise([basis.site_vectors], entries, sites, basis.site_dim)
+    Every Kraus operator is a self-adjoint projector, so the channel is
+    its own Heisenberg dual.
+    """
+    return kraus_channel(
+        [np.outer(u, u.conj()) for u in basis.site_vectors.T], basis.site_dim
+    )
 
 
 def conditional_expectation(a: Operator, basis: PinchingBasis) -> Operator:
     """Zero every matrix element off the diagonal of the product basis.
 
-    In the computational basis this is an exact mask, so the map is
-    exactly idempotent at machine precision.
+    This is the dual of pinching_channel on every site.  In the
+    computational basis every Kraus entry is 0 or 1, so the result is the
+    exact diagonal mask and the map is exactly idempotent.
     """
     if a.site_dim != basis.site_dim:
         raise ShapeMismatchError("operator site dim does not match basis")
-    if basis.is_computational:
-        out = np.diag(np.diagonal(a.entries)).astype(complex)
-    else:
-        rotated = _to_basis(a.entries, basis, a.sites)
-        masked = np.diag(np.diagonal(rotated)).astype(complex)
-        out = _from_basis(masked, basis, a.sites)
-    return Operator(out, a.sites, a.site_dim)
+    return apply_dual(pinching_channel(basis), a)
 
 
 def diagonal_observable(values, basis: PinchingBasis) -> Operator:
@@ -95,19 +91,17 @@ def diagonal_observable(values, basis: PinchingBasis) -> Operator:
     d = basis.site_dim
     if arr.shape != (d,) * arr.ndim or arr.ndim < 1:
         raise ShapeMismatchError(f"values must have shape (d,)*m with d={d}, got {arr.shape}")
-    mat = np.diag(arr.reshape(-1))
-    out = mat if basis.is_computational else _from_basis(mat, basis, arr.ndim)
-    return Operator(out, arr.ndim, d)
+    # rotate out of the basis: U(x m) diag U^dag(x m)
+    rotate = unitary_channel(basis.site_vectors.conj().T)
+    return apply_dual(rotate, Operator(np.diag(arr.reshape(-1)), arr.ndim, d))
 
 
 def state_to_measure(rho: DensityOperator, basis: PinchingBasis) -> np.ndarray:
     """mu(w) = <w| rho |w> as a (d,)*m array of word probabilities."""
     if rho.site_dim != basis.site_dim:
         raise ShapeMismatchError("state site dim does not match basis")
-    if basis.is_computational:
-        diag = np.diagonal(rho.entries)
-    else:
-        diag = np.diagonal(_to_basis(rho.entries, basis, rho.sites))
+    # rotate into the basis: U^dag(x m) rho U(x m)
+    diag = np.diagonal(apply_dual(unitary_channel(basis.site_vectors), rho.op).entries)
     return np.real(diag).reshape((basis.site_dim,) * rho.sites)
 
 
@@ -128,26 +122,6 @@ def source_measure_table(source, basis: PinchingBasis, max_len: int) -> MeasureT
         state_to_measure(source.density(m), basis) for m in range(1, max_len + 1)
     )
     return MeasureTable(basis.site_dim, tables)
-
-
-@dataclass(frozen=True, eq=False)
-class PinchedSource:
-    """The source m -> E^(x m)(rho_m): every member pinched in one basis."""
-
-    base: object
-    basis: PinchingBasis
-
-    @property
-    def site_dim(self) -> int:
-        return self.base.site_dim
-
-    @property
-    def kind(self) -> str:
-        return "pinched"
-
-    def density(self, sites: int) -> DensityOperator:
-        rho = self.base.density(sites)
-        return DensityOperator(conditional_expectation(rho.op, self.basis))
 
 
 @dataclass(frozen=True)
@@ -186,36 +160,25 @@ def verify_expectation_properties(
     d = basis.site_dim
     dim = d**sites
     rng = np.random.default_rng(seed)
+
+    def pinch(x: np.ndarray) -> np.ndarray:
+        return conditional_expectation(Operator(x, sites, d), basis).entries
+
+    def dev(x: np.ndarray, y: np.ndarray) -> float:
+        return float(np.max(np.abs(x - y)))
+
     pos_min = np.inf
     idem = fixed = module = trace = 0.0
     for _ in range(trials):
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        a = Operator((m + m.conj().T) / 2.0, sites, d)
-        psd = Operator(m @ m.conj().T, sites, d)
+        a = (m + m.conj().T) / 2.0
         diag_vals = rng.standard_normal((d,) * sites) + 1j * rng.standard_normal((d,) * sites)
-        b = diagonal_observable(diag_vals, basis)
+        b = diagonal_observable(diag_vals, basis).entries
 
-        ea = conditional_expectation(a, basis)
-        pos_min = min(
-            pos_min,
-            float(np.min(np.linalg.eigvalsh(conditional_expectation(psd, basis).entries))),
-        )
-        idem = max(
-            idem,
-            float(np.max(np.abs(conditional_expectation(ea, basis).entries - ea.entries))),
-        )
-        fixed = max(
-            fixed,
-            float(np.max(np.abs(conditional_expectation(b, basis).entries - b.entries))),
-        )
-        ab = Operator(a.entries @ b.entries, sites, d)
-        module = max(
-            module,
-            float(
-                np.max(
-                    np.abs(conditional_expectation(ab, basis).entries - ea.entries @ b.entries)
-                )
-            ),
-        )
-        trace = max(trace, float(abs(np.trace(ea.entries) - np.trace(a.entries))))
+        ea = pinch(a)
+        pos_min = min(pos_min, float(np.min(np.linalg.eigvalsh(pinch(m @ m.conj().T)))))
+        idem = max(idem, dev(pinch(ea), ea))
+        fixed = max(fixed, dev(pinch(b), b))
+        module = max(module, dev(pinch(a @ b), ea @ b))
+        trace = max(trace, float(abs(np.trace(ea) - np.trace(a))))
     return PinchingPropertyReport(float(pos_min), idem, fixed, module, trace, trials)

@@ -17,7 +17,9 @@ Config schema (JSON object; defaults in parentheses):
                          "process": PROCESS,
                          "alphabet": "computational" | MATRIX_OF_ROWS}
     channel           optional {"kind": NAME, "params": {...},
-                                "block_sites": int (1)}
+                                "block_sites": int (1)}; with a mixing test
+                      the channel block must divide block_sites and the
+                      backend must not be dense
     tests             "all" | list from {consistency, stationarity,
                       ergodic_mean, weak_mixing, strong_mixing} ("all")
     block_sites       observable block length m (1)
@@ -251,6 +253,17 @@ class ExperimentConfig:
         )
         # dry build so malformed matrices and specs fail at load time
         build_source(config)
+        # a block channel's states exist only on multiples of its block: the
+        # sweep's observables must align with it, and its odd gaps need transfer
+        blocks = (channel or {}).get("block_sites", 1)
+        if any(t in tests for t in _MIXING) and (
+            config.block_sites % blocks or (blocks > 1 and backend == "dense")
+        ):
+            raise ConfigError(
+                f"a {blocks}-site channel block needs block_sites divisible by "
+                f"{blocks} and a backend other than dense when a mixing test runs",
+                "channel.block_sites",
+            )
         return config
 
     @classmethod
@@ -542,8 +555,8 @@ def emit_report(report: RunReport, output_dir=None) -> list:
     return written
 
 
-def run_config_file(path, overrides: dict | None = None) -> tuple:
-    """(RunReport, written paths) for one config file, with CLI overrides.
+def load_config_file(path, overrides: dict | None = None) -> ExperimentConfig:
+    """One config file with CLI overrides merged in.
 
     Overrides are raw config keys merged over the file's object before
     validation, so they pass the same checks as the file itself.
@@ -551,6 +564,10 @@ def run_config_file(path, overrides: dict | None = None) -> tuple:
     raw = _read_json(path)
     if overrides and isinstance(raw, dict):
         raw = {**raw, **overrides}
-    config = ExperimentConfig.from_dict(raw)
-    report = run_experiment(config)
+    return ExperimentConfig.from_dict(raw)
+
+
+def run_config_file(path, overrides: dict | None = None) -> tuple:
+    """(RunReport, written paths) for one config file, with CLI overrides."""
+    report = run_experiment(load_config_file(path, overrides))
     return report, emit_report(report)

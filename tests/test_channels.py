@@ -169,6 +169,12 @@ class TestBlocks:
         with pytest.raises(CapExceededError):
             ss.block_channel(ss.depolarizing_channel(0.5), 7)
 
+    def test_direct_kraus_count_cap(self):
+        ops = tuple(np.eye(1) for _ in range(4097))
+        with pytest.raises(CapExceededError) as info:
+            ss.KrausChannel(ops, 1)
+        assert info.value.cap == 4096
+
 
 class TestAlphabet:
     def test_non_unit_norm_rejected(self):

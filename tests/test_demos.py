@@ -22,3 +22,4 @@ def test_demo_runs(script, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+    assert not list(tmp_path.glob("spinsource-demo-*"))

@@ -17,6 +17,10 @@ def rotated_basis():
     return ss.PinchingBasis(u)
 
 
+def pinched(source, basis):
+    return ss.channel_transform_source(source, ss.pinching_channel(basis))
+
+
 class TestConditionalExpectation:
     def test_computational_pinch_is_exact_diagonal_mask(self):
         a = ss.random_observable(2, seed=80)
@@ -134,19 +138,17 @@ class TestStateMeasure:
 
 class TestPinchedSource:
     def test_pinched_source_stays_consistent(self, fleet):
-        pinched = ss.PinchedSource(fleet["aperiodic"], ss.computational_basis())
-        assert ss.check_consistency(pinched, 4).passed
-        assert ss.check_stationarity(pinched, 4).passed
+        source = pinched(fleet["aperiodic"], ss.computational_basis())
+        assert ss.check_consistency(source, 4).passed
+        assert ss.check_stationarity(source, 4).passed
 
     def test_pinched_density_is_diagonal(self, fleet):
-        pinched = ss.PinchedSource(fleet["aperiodic"], ss.computational_basis())
-        rho = pinched.density(2).entries
+        rho = pinched(fleet["aperiodic"], ss.computational_basis()).density(2).entries
         assert np.array_equal(rho, np.diag(np.diag(rho)))
 
     def test_pinched_density_in_rotated_basis(self, fleet):
         basis = rotated_basis()
-        pinched = ss.PinchedSource(fleet["iid"], basis)
-        rho = pinched.density(2).entries
+        rho = pinched(fleet["iid"], basis).density(2).entries
         u2 = np.kron(basis.site_vectors, basis.site_vectors)
         back = u2.conj().T @ rho @ u2
         off = back - np.diag(np.diag(back))
@@ -155,6 +157,25 @@ class TestPinchedSource:
     def test_diagonal_observable_shape_checked(self):
         with pytest.raises(ShapeMismatchError):
             ss.diagonal_observable(np.zeros((2, 3)), ss.computational_basis())
+
+
+class TestPinchedBackends:
+    @pytest.mark.parametrize("name", ["iid", "aperiodic", "period2", "mixture"])
+    def test_pinched_sweep_runs_on_transfer(self, fleet, name):
+        sweep = ss.sweep_report(pinched(fleet[name], ss.computational_basis()), n_max=2000, seed=4)
+        assert sweep.backend == "transfer"
+        assert sweep.verdicts == ss.sweep_report(fleet[name], n_max=2000, seed=4).verdicts
+
+    @pytest.mark.parametrize("basis", [ss.computational_basis(), rotated_basis()],
+                             ids=["computational", "rotated"])
+    @pytest.mark.parametrize("name", ["iid", "aperiodic", "period2", "mixture"])
+    def test_dense_and_transfer_agree(self, fleet, name, basis):
+        source = pinched(fleet[name], basis)
+        a = ss.random_observable(1, seed=90)
+        b = ss.random_observable(2, seed=91)
+        dense = ss.source_correlation(source, a, b, [5, 0, 3], backend="dense")
+        transfer = ss.source_correlation(source, a, b, [5, 0, 3], backend="transfer")
+        assert np.max(np.abs(dense - transfer)) <= 1e-12
 
 
 class TestVerdictAgreement:

@@ -135,6 +135,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line"):
             ExperimentConfig.from_json(path)
 
+    def test_block_channel_must_divide_sweep_block(self):
+        damped = {"kind": "amplitude_damping", "params": {"gamma": 0.4}, "block_sites": 2}
+        with pytest.raises(ConfigError, match="channel.block_sites"):
+            iid_config(channel=damped)
+        with pytest.raises(ConfigError, match="channel.block_sites"):
+            iid_config(channel=damped, block_sites=2, backend="dense", tests=["weak"])
+        # aligned transfer sweeps and dense checks without a sweep still load
+        iid_config(channel=damped, block_sites=2)
+        iid_config(channel=damped, backend="dense", tests=["consistency", "stationarity"])
+
     def test_echo_round_trips(self):
         cfg = markov_config(APERIODIC_T, "echo_me", tolerance=0.02)
         assert ExperimentConfig.from_dict(cfg.echo()) == cfg
@@ -259,6 +269,7 @@ class TestCLI:
             "backend": "transfer",
         }
         body.update(overrides)
+        tmp_path.mkdir(parents=True, exist_ok=True)
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(body))
         return path
@@ -339,6 +350,27 @@ class TestCLI:
         assert cli.main([str(p1), str(p2), "--output-dir", str(threaded), "--jobs", "2"]) == 0
         for name in ("par_a.report.json", "par_a.decay.csv", "par_b.report.json", "par_b.decay.csv"):
             assert (serial / name).read_bytes() == (threaded / name).read_bytes()
+
+    @pytest.mark.parametrize("extra", [{}, {"backend": "dense", "block_sites": 2, "n_max": 8}])
+    def test_misaligned_block_channel_is_config_error(self, tmp_path, capsys, extra):
+        channel = {"kind": "amplitude_damping", "params": {"gamma": 0.4}, "block_sites": 2}
+        path = self.write_config(tmp_path, name="cli_blocks", channel=channel, **extra)
+        code = cli.main([str(path), "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "config error: channel.block_sites" in capsys.readouterr().err
+        assert not (tmp_path / "cli_blocks.report.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_repeated_output_is_config_error(self, tmp_path, capsys, jobs):
+        first = self.write_config(tmp_path / "a", name="same", seed=3)
+        second = self.write_config(tmp_path / "b", name="same", seed=5)
+        out = tmp_path / "out"
+        code = cli.main([str(first), str(second), "--output-dir", str(out), "--jobs", jobs])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{second}: config error" in err and str(first) in err
+        payload = json.loads((out / "same.report.json").read_text())
+        assert payload["config"]["seed"] == 3
 
     def test_verbose_prints_pairs(self, tmp_path, capsys):
         path = self.write_config(tmp_path, name="cli_verbose")
