@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, AlphabetError, CapExceededError, ShapeMismatchError
-from .operators import DensityOperator, Operator, haar_unitary
+from .operators import Operator, haar_unitary
 
 KRAUS_TOL = 1e-10
 KRAUS_COUNT_CAP = 4096
@@ -34,8 +34,8 @@ class KrausChannel:
     """A finite family of equal-shape square Kraus operators.
 
     Construction checks shapes and finiteness only; completeness is the
-    job of validate_kraus (and of the kraus_channel factory).  This keeps
-    deliberately broken families constructible for diagnostics.
+    job of validate_kraus (and of kraus_channel and channel-transformed
+    sources).  This keeps deliberately broken families constructible.
     """
 
     operators: tuple
@@ -89,14 +89,17 @@ def kraus_channel(operators, dim: int | None = None) -> KrausChannel:
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         dim = ops[0].shape[0]
-    ch = KrausChannel(tuple(ops), dim)
-    report = validate_kraus(ch)
+    return _require_trace_preserving(KrausChannel(tuple(ops), dim))
+
+
+def _require_trace_preserving(channel: KrausChannel) -> KrausChannel:
+    report = validate_kraus(channel)
     if not report.passed:
         raise ValueError(
             f"Kraus family is not trace preserving: completeness deviation "
             f"{report.completeness_deviation:.3e} > {report.tol}"
         )
-    return ch
+    return channel
 
 
 def dual_channel(channel: KrausChannel) -> KrausChannel:
@@ -151,11 +154,11 @@ def _apply_sitewise(kraus, entries: np.ndarray, n_blocks: int, block_dim: int) -
     return out
 
 
-def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperator:
-    """Schroedinger picture: act with the channel on every site (or block)."""
+def apply_channel(channel: KrausChannel, rho: Operator) -> Operator:
+    """Schroedinger picture: act on every site (or block); maps states to states."""
     n_blocks, block_dim = _block_layout(rho.sites, rho.site_dim, channel.dim)
     out = _apply_sitewise(channel.operators, rho.entries, n_blocks, block_dim)
-    return DensityOperator(Operator(out, rho.sites, rho.site_dim))
+    return Operator(out, rho.sites, rho.site_dim)
 
 
 def apply_dual(channel: KrausChannel, a: Operator) -> Operator:
@@ -192,6 +195,8 @@ def validate_alphabet(vectors, site_dim: int | None = None) -> np.ndarray:
     arr = np.array(vectors, dtype=complex)
     if arr.ndim != 2:
         raise AlphabetError(f"alphabet must be a (k, d) array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise AlphabetError("alphabet entries must be finite")
     k, d = arr.shape
     if site_dim is not None and d != site_dim:
         raise AlphabetError(f"alphabet vectors have dim {d}, expected {site_dim}")

@@ -44,6 +44,8 @@ def _probability_vector(p, what: str) -> np.ndarray:
     arr = np.array(p, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ShapeMismatchError(f"{what} must be a 1-d probability vector")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries")
     if np.any(arr < -STOCHASTIC_TOL):
         raise ValueError(f"{what} has negative entries")
     if abs(arr.sum() - 1.0) > STOCHASTIC_TOL:
@@ -112,6 +114,8 @@ class MarkovProcess(_HiddenChainProcess):
         p = np.array(self.transition, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ShapeMismatchError(f"transition must be square, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("transition matrix has non-finite entries")
         if np.any(p < -STOCHASTIC_TOL):
             raise ValueError("transition matrix has negative entries")
         row_dev = float(np.max(np.abs(p.sum(axis=1) - 1.0)))

@@ -82,31 +82,14 @@ class Operator:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Hermitian, positive semidefinite, unit-trace operator (a quantum state)."""
-
-    op: Operator
+class DensityOperator(Operator):
+    """An Operator checked to be a state; for states that enter from outside the library."""
 
     def __post_init__(self):
-        report = validate_density(self.op)
+        super().__post_init__()
+        report = validate_density(self)
         if not report.passed:
             raise ValueError(f"not a valid density operator: {report}")
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.op.entries
-
-    @property
-    def sites(self) -> int:
-        return self.op.sites
-
-    @property
-    def site_dim(self) -> int:
-        return self.op.site_dim
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
 
 
 def as_operator(entries, site_dim: int = 2, sites: int | None = None) -> Operator:
@@ -125,10 +108,9 @@ def as_operator(entries, site_dim: int = 2, sites: int | None = None) -> Operato
 
 
 def density_operator(entries, site_dim: int = 2, sites: int | None = None) -> DensityOperator:
-    """Wrap and validate a matrix as a density operator."""
-    if isinstance(entries, Operator):
-        return DensityOperator(entries)
-    return DensityOperator(as_operator(entries, site_dim, sites))
+    """Wrap and validate a matrix (or an Operator) as a density operator."""
+    op = entries if isinstance(entries, Operator) else as_operator(entries, site_dim, sites)
+    return DensityOperator(op.entries, op.sites, op.site_dim)
 
 
 def identity_operator(sites: int, site_dim: int = 2) -> Operator:
@@ -177,7 +159,7 @@ def embed_observable(a: Operator, left_pad: int, right_pad: int) -> Operator:
     return Operator(out, a.sites + left_pad + right_pad, d)
 
 
-def trace_pairing(rho: DensityOperator | Operator, a: Operator) -> complex:
+def trace_pairing(rho: Operator, a: Operator) -> complex:
     """tr(rho a); real up to rounding when ``a`` is Hermitian and rho is a state."""
     rho_m = rho.entries if hasattr(rho, "entries") else np.asarray(rho)
     if rho_m.shape != a.entries.shape:
@@ -237,7 +219,7 @@ def random_density(sites: int, seed: int, site_dim: int = 2) -> DensityOperator:
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     p = m @ m.conj().T
-    return DensityOperator(Operator(p / np.trace(p).real, sites, site_dim))
+    return DensityOperator(p / np.trace(p).real, sites, site_dim)
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from .channels import KrausChannel, apply_dual, kraus_channel, unitary_channel
 from .classical import MeasureTable
 from .errors import ShapeMismatchError
-from .operators import DensityOperator, Operator
+from .operators import DensityOperator, Operator, density_operator
 
 PINCH_TOL = 1e-10
 
@@ -96,12 +96,12 @@ def diagonal_observable(values, basis: PinchingBasis) -> Operator:
     return apply_dual(rotate, Operator(np.diag(arr.reshape(-1)), arr.ndim, d))
 
 
-def state_to_measure(rho: DensityOperator, basis: PinchingBasis) -> np.ndarray:
+def state_to_measure(rho: Operator, basis: PinchingBasis) -> np.ndarray:
     """mu(w) = <w| rho |w> as a (d,)*m array of word probabilities."""
     if rho.site_dim != basis.site_dim:
         raise ShapeMismatchError("state site dim does not match basis")
     # rotate into the basis: U^dag(x m) rho U(x m)
-    diag = np.diagonal(apply_dual(unitary_channel(basis.site_vectors), rho.op).entries)
+    diag = np.diagonal(apply_dual(unitary_channel(basis.site_vectors), rho).entries)
     return np.real(diag).reshape((basis.site_dim,) * rho.sites)
 
 
@@ -112,8 +112,7 @@ def measure_to_state(values, basis: PinchingBasis) -> DensityOperator:
         raise ValueError("word probabilities must be nonnegative")
     if abs(arr.sum() - 1.0) > 1e-9:
         raise ValueError(f"word probabilities sum to {arr.sum()}, expected 1")
-    op = diagonal_observable(np.clip(arr, 0.0, None), basis)
-    return DensityOperator(op)
+    return density_operator(diagonal_observable(np.clip(arr, 0.0, None), basis))
 
 
 def source_measure_table(source, basis: PinchingBasis, max_len: int) -> MeasureTable:

@@ -58,7 +58,7 @@ from .classical import (
     classify_process,
 )
 from .errors import ConfigError
-from .operators import density_operator
+from .operators import as_operator
 from .sources import (
     AlphabetSpec,
     ChannelTransformedSource,
@@ -89,13 +89,9 @@ def _decode_matrix(obj, field: str) -> np.ndarray:
             raise ConfigError(f"row {r} is not a nonempty list", field)
         out = []
         for c, entry in enumerate(row):
-            if isinstance(entry, (int, float)):
+            if _is_number(entry):
                 out.append(complex(entry))
-            elif (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(isinstance(x, (int, float)) for x in entry)
-            ):
+            elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
                 out.append(complex(entry[0], entry[1]))
             else:
                 raise ConfigError(
@@ -116,6 +112,11 @@ def _require(mapping: dict, key: str, field: str):
 def _is_int(value) -> bool:
     """JSON integers only: bool is an int subclass but true/false are not counts."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """JSON numbers only, so true/false are not read as 1/0."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _read_json(path):
@@ -300,7 +301,7 @@ def build_source(config: ExperimentConfig):
     if kind == "iid":
         state = _decode_matrix(_require(spec, "state", "source.state"), "source.state")
         try:
-            source = IIDSource(density_operator(state, site_dim=d, sites=1))
+            source = IIDSource(as_operator(state, site_dim=d, sites=1))
         except ValueError as exc:
             raise ConfigError(str(exc), "source.state") from exc
     elif kind == "classically_correlated":

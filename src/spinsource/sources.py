@@ -3,7 +3,8 @@
 A source assigns to every site count m a density operator rho_m such
 that tracing out trailing sites recovers the shorter states
 (consistency) and, for stationary sources, tracing out leading sites
-does too.  Three families are provided:
+does too.  Each rho_m is a plain Operator, a state by construction.
+Three families are provided:
 
 * iid products of a fixed single-site state,
 * classically correlated sources driven by a symbol process, with each
@@ -24,10 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _block_sites, apply_channel, apply_dual, validate_alphabet
+from .channels import (
+    KrausChannel, _block_sites, _require_trace_preserving, apply_channel, apply_dual, validate_alphabet
+)
 from .classical import ClassicalProcess, _check_word_cap, classical_correlation_sweep
 from .errors import BackendError, ShapeMismatchError
-from .operators import DensityOperator, Operator, _check_cap, trace_pairing
+from .operators import DensityOperator, Operator, _check_cap, density_operator, trace_pairing
 
 SOURCE_CHECK_TOL = 1e-9
 
@@ -70,13 +73,14 @@ def computational_alphabet(size: int, site_dim: int | None = None) -> AlphabetSp
 
 @dataclass(frozen=True, eq=False)
 class IIDSource:
-    """rho_m = sigma^(x m) for a fixed single-site state sigma."""
+    """rho_m = sigma^(x m) for a single-site state sigma, checked once on construction."""
 
     site_state: DensityOperator
 
     def __post_init__(self):
         if self.site_state.sites != 1:
             raise ShapeMismatchError("iid source takes a single-site state")
+        object.__setattr__(self, "site_state", density_operator(self.site_state))
 
     @property
     def site_dim(self) -> int:
@@ -86,12 +90,12 @@ class IIDSource:
     def kind(self) -> str:
         return "iid"
 
-    def density(self, sites: int) -> DensityOperator:
+    def density(self, sites: int) -> Operator:
         _require_sites(sites, self.site_dim)
         out = np.array([[1.0 + 0j]])
         for _ in range(sites):
             out = np.kron(out, self.site_state.entries)
-        return DensityOperator(Operator(out, sites, self.site_dim))
+        return Operator(out, sites, self.site_dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,21 +128,23 @@ class ClassicallyCorrelatedSource:
     def _emissions(self) -> list:
         return [np.outer(v, v.conj()) for v in self.alphabet.vectors]
 
-    def density(self, sites: int) -> DensityOperator:
+    def density(self, sites: int) -> Operator:
         _require_sites(sites, self.site_dim)
         out = _correlated_density(self.process, self._emissions(), sites)
-        return DensityOperator(Operator(out, sites, self.site_dim))
+        return Operator(out, sites, self.site_dim)
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelTransformedSource:
-    """rho_m = E^(x m)(base rho_m); blocks of a block channel must divide m."""
+    """rho_m = E^(x m)(base rho_m) for a trace-preserving E, checked on construction;
+    blocks of a block channel must divide m."""
 
     base: "QuantumSource"
     channel: KrausChannel
 
     def __post_init__(self):
         _block_sites(self.base.site_dim, self.channel.dim)
+        _require_trace_preserving(self.channel)
 
     @property
     def site_dim(self) -> int:
@@ -148,7 +154,7 @@ class ChannelTransformedSource:
     def kind(self) -> str:
         return "channel_transformed"
 
-    def density(self, sites: int) -> DensityOperator:
+    def density(self, sites: int) -> Operator:
         return apply_channel(self.channel, self.base.density(sites))
 
 
@@ -332,16 +338,17 @@ class SourceCheckReport:
 def _reduction_check(source: QuantumSource, max_sites: int, mode: str, step: int) -> SourceCheckReport:
     if max_sites < 2 * step:
         raise ValueError(f"max_sites must be at least {2 * step}")
-    reduce = _trace_trailing if mode.endswith("consistency") else _trace_leading
     d = source.site_dim
+    _check_cap(d**max_sites)
+    reduce = _trace_trailing if mode.endswith("consistency") else _trace_leading
+    states = {m: source.density(m).entries for m in range(step, max_sites + 1, step)}
     worst = 0.0
     worst_pair = (step, step)
-    tops = range(2 * step, max_sites + 1, step)
-    for top in tops:
-        current = source.density(top).entries
+    for top in range(2 * step, max_sites + 1, step):
+        current = states[top]
         for m in range(top - step, 0, -step):
             current = reduce(current, d**m)
-            dev = float(np.max(np.abs(current - source.density(m).entries)))
+            dev = float(np.max(np.abs(current - states[m])))
             if dev > worst:
                 worst = dev
                 worst_pair = (m, top - m)

@@ -5,9 +5,11 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the lines directly.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,10 +248,16 @@ def test_criterion_9_determinism(tmp_path):
         )
         configs.append(str(path))
 
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+
     def run(out_dir, jobs):
         cmd = [sys.executable, "-m", "spinsource.cli", *configs]
         cmd += ["--output-dir", str(out_dir), "--jobs", str(jobs)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 

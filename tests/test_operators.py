@@ -130,7 +130,7 @@ class TestSeededRandom:
 
     def test_random_density_valid(self):
         rho = ss.random_density(2, seed=7)
-        assert ss.validate_density(rho.op).passed
+        assert ss.validate_density(rho).passed
 
     def test_haar_unitary(self):
         u = ss.haar_unitary(4, seed=2)
@@ -141,7 +141,7 @@ class TestSeededRandom:
 @given(st.integers(0, 2**32 - 1))
 def test_random_density_always_valid(seed):
     rho = ss.random_density(1, seed=seed)
-    assert ss.validate_density(rho.op).passed
+    assert ss.validate_density(rho).passed
 
 
 @given(st.integers(0, 2**16), st.integers(0, 2**16))

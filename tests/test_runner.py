@@ -383,3 +383,70 @@ class TestCLI:
         report, written = run_config_file(path, overrides={"n_max": 72})
         assert report.config.n_max == 72
         assert [p.name for p in written] == ["helper.report.json", "helper.decay.csv"]
+
+
+NAN = float("nan")
+
+
+def correlated(process, alphabet="computational"):
+    return {"kind": "classically_correlated", "process": process, "alphabet": alphabet}
+
+
+class TestNonFiniteAndBooleanInputs:
+    """JSON admits NaN, Infinity, true and false; none of them is a valid entry."""
+
+    @pytest.mark.parametrize(
+        "source,field",
+        [
+            (correlated({"kind": "iid", "probs": [NAN, 1.0]}), "source.process"),
+            (
+                correlated({"kind": "markov", "transition": APERIODIC_T, "initial": [NAN, 1.0]}),
+                "source.process",
+            ),
+            (
+                correlated(
+                    {
+                        "kind": "mixture",
+                        "weights": [NAN, 1.0],
+                        "components": [
+                            {"kind": "iid", "probs": [0.9, 0.1]},
+                            {"kind": "iid", "probs": [0.1, 0.9]},
+                        ],
+                    }
+                ),
+                "source.process",
+            ),
+            (
+                correlated(
+                    {"kind": "markov", "transition": [[NAN, 1.0], [0.2, 0.8]], "initial": [0.5, 0.5]}
+                ),
+                "source.process",
+            ),
+            (
+                correlated({"kind": "iid", "probs": [0.5, 0.5]}, [[NAN, 0.0], [0.0, 1.0]]),
+                "source.alphabet",
+            ),
+            ({"kind": "iid", "state": [[True, 0], [0, False]]}, "source.state"),
+            ({"kind": "iid", "state": [[1, [0, False]], [0, 0]]}, "source.state"),
+        ],
+        ids=[
+            "iid_probs_nan",
+            "markov_initial_nan",
+            "mixture_weights_nan",
+            "markov_transition_nan",
+            "alphabet_nan",
+            "state_booleans",
+            "state_boolean_pair",
+        ],
+    )
+    def test_rejected_at_load(self, source, field):
+        with pytest.raises(ConfigError, match=field):
+            iid_config(source=source)
+
+    def test_cli_exits_two_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "nan_probs.json"
+        body = {"name": "nan_probs", "seed": 1, "source": correlated({"kind": "iid", "probs": [NAN, 1.0]})}
+        path.write_text(json.dumps(body))
+        assert "NaN" in path.read_text()
+        assert cli.main([str(path), "--output-dir", str(tmp_path)]) == 2
+        assert "config error: source.process" in capsys.readouterr().err
