@@ -43,7 +43,6 @@ from .channels import (
     amplitude_damping_channel,
     apply_channel,
     apply_dual,
-    block_channel,
     depolarizing_channel,
     dual_channel,
     embedding_channel,

@@ -169,17 +169,6 @@ def apply_dual(channel: KrausChannel, a: Operator) -> Operator:
     return Operator(out, a.sites, a.site_dim)
 
 
-def block_channel(channel: KrausChannel, block_sites: int) -> KrausChannel:
-    """Tensor power of a channel: all products A_{i1} (x) ... (x) A_{ik}."""
-    if block_sites < 1:
-        raise ValueError(f"block size must be >= 1, got {block_sites}")
-    _check_kraus_count(len(channel) ** block_sites)
-    ops = [np.eye(1, dtype=complex)]
-    for _ in range(block_sites):
-        ops = [np.kron(x, a) for x in ops for a in channel.operators]
-    return KrausChannel(tuple(ops), channel.dim**block_sites)
-
-
 # ---------------------------------------------------------------------------
 # quantum alphabets
 # ---------------------------------------------------------------------------
@@ -307,7 +296,7 @@ def embedding_channel(alphabet, site_dim: int | None = None) -> KrausChannel:
     return kraus_channel(ops, d)
 
 
-_CHANNEL_BUILDERS = {
+_STANDARD_CHANNELS = {
     "identity": lambda params, dim: identity_channel(dim),
     "depolarizing": lambda params, dim: depolarizing_channel(float(params["p"]), dim),
     "amplitude_damping": lambda params, dim: amplitude_damping_channel(float(params["gamma"])),
@@ -325,12 +314,12 @@ def make_standard_channel(name: str, params: dict | None = None, dim: int = 2) -
     """
     params = params or {}
     try:
-        builder = _CHANNEL_BUILDERS[name]
+        make = _STANDARD_CHANNELS[name]
     except KeyError:
         raise ValueError(
-            f"unknown channel {name!r}; known: {sorted(_CHANNEL_BUILDERS)}"
+            f"unknown channel {name!r}; known: {sorted(_STANDARD_CHANNELS)}"
         ) from None
     try:
-        return builder(params, dim)
+        return make(params, dim)
     except KeyError as exc:
         raise ValueError(f"channel {name!r} is missing parameter {exc}") from None

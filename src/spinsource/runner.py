@@ -17,9 +17,9 @@ Config schema (JSON object; defaults in parentheses):
                          "process": PROCESS,
                          "alphabet": "computational" | MATRIX_OF_ROWS}
     channel           optional {"kind": NAME, "params": {...},
-                                "block_sites": int (1)}; with a mixing test
-                      the channel block must divide block_sites and the
-                      backend must not be dense
+                                "block_sites": int (1)}; the channel acts on
+                      every site, and block_sites is the step of the
+                      consistency and stationarity checks
     tests             "all" | list from {consistency, stationarity,
                       ergodic_mean, weak_mixing, strong_mixing} ("all")
     block_sites       observable block length m (1)
@@ -43,13 +43,14 @@ from __future__ import annotations
 import csv
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .channels import block_channel, make_standard_channel
+from .channels import _STANDARD_CHANNELS, make_standard_channel
 from .classical import (
     ClassificationReport,
     IIDProcess,
@@ -72,6 +73,11 @@ from .ergodicity import SourceSweepReport, sweep_report
 TEST_NAMES = ("consistency", "stationarity", "ergodic_mean", "weak_mixing", "strong_mixing")
 _ALIASES = {"ergodic": "ergodic_mean", "weak": "weak_mixing", "strong": "strong_mixing"}
 _MIXING = ("ergodic_mean", "weak_mixing", "strong_mixing")
+_SOURCE_KEYS = {"iid": ("state",), "classically_correlated": ("process", "alphabet")}
+_PROCESS_KEYS = {
+    "iid": ("probs",), "markov": ("transition", "initial"), "mixture": ("weights", "components"),
+}
+_CHANNEL_KEYS = dict.fromkeys(_STANDARD_CHANNELS, ("params", "block_sites"))
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +115,34 @@ def _require(mapping: dict, key: str, field: str):
     return mapping[key]
 
 
+@contextmanager
+def _as_config_error(field: str):
+    """Report a ValueError or TypeError from building field as a ConfigError there."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc), field) from exc
+
+
+def _check_keys(mapping: dict, known, field: str | None = None) -> None:
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r}", key if field is None else f"{field}.{key}")
+
+
+def _spec_kind(spec, keys_by_kind: dict, field: str) -> str:
+    """The spec's kind, once the spec is an object with a known kind and only that kind's keys."""
+    if not isinstance(spec, dict):
+        raise ConfigError("spec must be an object", field)
+    kind = _require(spec, "kind", field)
+    if not isinstance(kind, str) or kind not in keys_by_kind:
+        raise ConfigError(f"unknown kind {kind!r}; known: {sorted(keys_by_kind)}", f"{field}.kind")
+    _check_keys(spec, ("kind", *keys_by_kind[kind]), field)
+    return kind
+
+
 def _is_int(value) -> bool:
     """JSON integers only: bool is an int subclass but true/false are not counts."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -117,6 +151,11 @@ def _is_int(value) -> bool:
 def _is_number(value) -> bool:
     """JSON numbers only, so true/false are not read as 1/0."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_reals(value) -> bool:
+    """A JSON number, or a list of such values at any depth."""
+    return _is_number(value) or (isinstance(value, list) and all(map(_is_reals, value)))
 
 
 def _read_json(path):
@@ -132,33 +171,28 @@ def _read_json(path):
 
 
 def _build_process(spec, field: str):
-    if not isinstance(spec, dict):
-        raise ConfigError("process spec must be an object", field)
-    kind = _require(spec, "kind", field)
-    try:
+    kind = _spec_kind(spec, _PROCESS_KEYS, field)
+
+    def reals(key):
+        value = _require(spec, key, field)
+        if not isinstance(value, list) or not _is_reals(value):
+            raise ConfigError("expected a list of numbers", f"{field}.{key}")
+        return np.asarray(value, dtype=float)
+
+    with _as_config_error(field):
         if kind == "iid":
-            return IIDProcess(np.asarray(_require(spec, "probs", field), dtype=float))
+            return IIDProcess(reals("probs"))
         if kind == "markov":
-            transition = np.asarray(_require(spec, "transition", field), dtype=float)
-            initial = spec.get("initial")
-            if initial is not None:
-                initial = np.asarray(initial, dtype=float)
-            return MarkovProcess(transition, initial)
-        if kind == "mixture":
-            weights = np.asarray(_require(spec, "weights", field), dtype=float)
-            comps = _require(spec, "components", field)
-            return MixtureProcess(
-                weights,
-                tuple(
-                    _build_process(c, f"{field}.components[{j}]")
-                    for j, c in enumerate(comps)
-                ),
-            )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc), field) from exc
-    raise ConfigError(f"unknown process kind {kind!r}", field)
+            initial = None if spec.get("initial") is None else reals("initial")
+            return MarkovProcess(reals("transition"), initial)
+        comps = _require(spec, "components", field)
+        return MixtureProcess(
+            reals("weights"),
+            tuple(
+                _build_process(c, f"{field}.components[{j}]")
+                for j, c in enumerate(comps)
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -183,14 +217,11 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
+        _check_keys(raw, (
             "name", "site_dim", "seed", "source", "channel", "tests",
             "block_sites", "n_max", "observable_count", "backend",
             "tolerance", "check_sites", "output_dir",
-        }
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"unknown key {key!r}", key)
+        ))
         name = _require(raw, "name", "name")
         if not isinstance(name, str) or not name or "/" in name:
             raise ConfigError("name must be a nonempty string without '/'", "name")
@@ -201,24 +232,17 @@ class ExperimentConfig:
         if tests == "all":
             tests = TEST_NAMES
         elif isinstance(tests, list):
-            resolved = []
-            for t in tests:
-                t = _ALIASES.get(t, t)
+            names = [_ALIASES.get(t, t) if isinstance(t, str) else t for t in tests]
+            for t in names:
                 if t not in TEST_NAMES:
                     raise ConfigError(f"unknown test {t!r}", "tests")
-                if t not in resolved:
-                    resolved.append(t)
-            if not resolved:
+            if not names:
                 raise ConfigError("at least one test must be selected", "tests")
-            tests = tuple(sorted(resolved, key=TEST_NAMES.index))
+            tests = tuple(t for t in TEST_NAMES if t in names)
         else:
             raise ConfigError("tests must be 'all' or a list of names", "tests")
         source = _require(raw, "source", "source")
-        if not isinstance(source, dict):
-            raise ConfigError("source spec must be an object", "source")
         channel = raw.get("channel")
-        if channel is not None and not isinstance(channel, dict):
-            raise ConfigError("channel spec must be an object", "channel")
 
         def _int(key, default, minimum):
             v = raw.get(key, default)
@@ -231,7 +255,7 @@ class ExperimentConfig:
             raise ConfigError("backend must be auto, dense, or transfer", "backend")
         tolerance = raw.get("tolerance")
         if tolerance is not None:
-            if not isinstance(tolerance, (int, float)) or not 0 < tolerance < 1:
+            if not _is_number(tolerance) or not 0 < tolerance < 1:
                 raise ConfigError("tolerance must be a number in (0, 1)", "tolerance")
             tolerance = float(tolerance)
         output_dir = raw.get("output_dir", ".")
@@ -254,17 +278,6 @@ class ExperimentConfig:
         )
         # dry build so malformed matrices and specs fail at load time
         build_source(config)
-        # a block channel's states exist only on multiples of its block: the
-        # sweep's observables must align with it, and its odd gaps need transfer
-        blocks = (channel or {}).get("block_sites", 1)
-        if any(t in tests for t in _MIXING) and (
-            config.block_sites % blocks or (blocks > 1 and backend == "dense")
-        ):
-            raise ConfigError(
-                f"a {blocks}-site channel block needs block_sites divisible by "
-                f"{blocks} and a backend other than dense when a mixing test runs",
-                "channel.block_sites",
-            )
         return config
 
     @classmethod
@@ -296,48 +309,45 @@ def build_source(config: ExperimentConfig):
     """(source, base classical process or None) from a config."""
     d = config.site_dim
     spec = config.source_spec
-    kind = _require(spec, "kind", "source")
+    kind = _spec_kind(spec, _SOURCE_KEYS, "source")
     process = None
     if kind == "iid":
         state = _decode_matrix(_require(spec, "state", "source.state"), "source.state")
-        try:
+        with _as_config_error("source.state"):
             source = IIDSource(as_operator(state, site_dim=d, sites=1))
-        except ValueError as exc:
-            raise ConfigError(str(exc), "source.state") from exc
-    elif kind == "classically_correlated":
+    else:
         process = _build_process(_require(spec, "process", "source.process"), "source.process")
         alph = spec.get("alphabet", "computational")
-        try:
+        with _as_config_error("source.alphabet"):
             if alph == "computational":
                 vectors = np.eye(d, dtype=complex)[: process.alphabet_size]
             else:
                 vectors = _decode_matrix(alph, "source.alphabet")
             source = ClassicallyCorrelatedSource(process, AlphabetSpec(vectors))
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc), "source.alphabet") from exc
-    else:
-        raise ConfigError(f"unknown source kind {kind!r}", "source.kind")
     if config.channel_spec is not None:
-        cs = config.channel_spec
-        name = _require(cs, "kind", "channel.kind")
-        params = dict(cs.get("params", {}))
-        if "alphabet" in params:
-            params["alphabet"] = _decode_matrix(params["alphabet"], "channel.params.alphabet")
-        try:
-            channel = make_standard_channel(name, params, dim=d)
-            blocks = cs.get("block_sites", 1)
-            if not _is_int(blocks) or blocks < 1:
-                raise ConfigError("block_sites must be an integer >= 1", "channel.block_sites")
-            if blocks > 1:
-                channel = block_channel(channel, blocks)
-            source = ChannelTransformedSource(source, channel)
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc), "channel") from exc
+        source = _transform(source, config.channel_spec, d)
     return source, process
+
+
+def _transform(source, spec, site_dim: int):
+    """source under the spec's one-site channel on every site; block_sites is only a check step."""
+    name = _spec_kind(spec, _CHANNEL_KEYS, "channel")
+    blocks = spec.get("block_sites", 1)
+    if not _is_int(blocks) or blocks < 1:
+        raise ConfigError("block_sites must be an integer >= 1", "channel.block_sites")
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("params must be an object", "channel.params")
+    params = dict(params)
+    for key, value in params.items():
+        if key in ("p", "gamma", "lam") and not _is_number(value):
+            raise ConfigError("must be a number", f"channel.params.{key}")
+        if key == "seed" and not (_is_int(value) and value >= 0):
+            raise ConfigError("must be an integer >= 0", f"channel.params.{key}")
+    if "alphabet" in params:
+        params["alphabet"] = _decode_matrix(params["alphabet"], "channel.params.alphabet")
+    with _as_config_error("channel"):
+        return ChannelTransformedSource(source, make_standard_channel(name, params, dim=site_dim))
 
 
 # ---------------------------------------------------------------------------

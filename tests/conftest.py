@@ -15,6 +15,14 @@ RHO_SITE = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
 NONORTHO = np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]], dtype=complex)
 
 
+def tensor_power(channel: ss.KrausChannel, k: int) -> ss.KrausChannel:
+    """The k-site channel E^(x k), with all products A_i1 (x) ... (x) A_ik as Kraus operators."""
+    ops = [np.eye(1, dtype=complex)]
+    for _ in range(k):
+        ops = [np.kron(x, a) for x in ops for a in channel.operators]
+    return ss.KrausChannel(tuple(ops), channel.dim**k)
+
+
 def make_processes() -> dict:
     return {
         "iid": ss.IIDProcess([0.8, 0.2]),

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import spinsource as ss
 from spinsource.errors import AlignmentError, AlphabetError, CapExceededError
 
+from conftest import tensor_power
+
 NONORTHO = np.array([[1.0, 0.0], [2**-0.5, 2**-0.5]], dtype=complex)
 
 
@@ -148,26 +150,17 @@ class TestDuality:
 
 
 class TestBlocks:
-    def test_block_channel_size(self):
-        ch = ss.block_channel(ss.depolarizing_channel(0.3), 2)
-        assert len(ch) == 16 and ch.dim == 4
-        assert ss.validate_kraus(ch).passed
-
     def test_block_equals_sitewise(self):
         base = ss.amplitude_damping_channel(0.4)
         rho = ss.random_density(2, seed=17)
         sitewise = ss.apply_channel(base, rho)
-        blocked = ss.apply_channel(ss.block_channel(base, 2), rho)
+        blocked = ss.apply_channel(tensor_power(base, 2), rho)
         assert np.max(np.abs(sitewise.entries - blocked.entries)) <= 1e-12
 
     def test_misaligned_block_rejected(self):
-        ch = ss.block_channel(ss.identity_channel(2), 2)
+        ch = tensor_power(ss.identity_channel(2), 2)
         with pytest.raises(AlignmentError):
             ss.apply_channel(ch, ss.random_density(3, seed=1))
-
-    def test_kraus_count_cap(self):
-        with pytest.raises(CapExceededError):
-            ss.block_channel(ss.depolarizing_channel(0.5), 7)
 
     def test_direct_kraus_count_cap(self):
         ops = tuple(np.eye(1) for _ in range(4097))

@@ -135,15 +135,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line"):
             ExperimentConfig.from_json(path)
 
-    def test_block_channel_must_divide_sweep_block(self):
+    def test_misaligned_block_channel_loads(self):
+        # the channel acts on every site, so its states exist at every site
+        # count and both backends answer the same question at odd gaps
         damped = {"kind": "amplitude_damping", "params": {"gamma": 0.4}, "block_sites": 2}
-        with pytest.raises(ConfigError, match="channel.block_sites"):
-            iid_config(channel=damped)
-        with pytest.raises(ConfigError, match="channel.block_sites"):
-            iid_config(channel=damped, block_sites=2, backend="dense", tests=["weak"])
-        # aligned transfer sweeps and dense checks without a sweep still load
-        iid_config(channel=damped, block_sites=2)
-        iid_config(channel=damped, backend="dense", tests=["consistency", "stationarity"])
+        a = ss.random_observable(1, seed=41)
+        b = ss.random_observable(1, seed=42)
+        for cfg in (
+            iid_config(channel=damped),
+            iid_config(channel=damped, block_sites=2, backend="dense", tests=["weak"]),
+        ):
+            src, _ = ss.runner.build_source(cfg)
+            dense = ss.source_correlation(src, a, b, [0, 1, 2, 3], "dense")
+            transfer = ss.source_correlation(src, a, b, [0, 1, 2, 3], "transfer")
+            assert np.max(np.abs(dense - transfer)) <= 1e-12
 
     def test_echo_round_trips(self):
         cfg = markov_config(APERIODIC_T, "echo_me", tolerance=0.02)
@@ -351,14 +356,17 @@ class TestCLI:
         for name in ("par_a.report.json", "par_a.decay.csv", "par_b.report.json", "par_b.decay.csv"):
             assert (serial / name).read_bytes() == (threaded / name).read_bytes()
 
-    @pytest.mark.parametrize("extra", [{}, {"backend": "dense", "block_sites": 2, "n_max": 8}])
-    def test_misaligned_block_channel_is_config_error(self, tmp_path, capsys, extra):
+    # block_sites 1 keeps the dense sweep to 3 pairs on at most 9 sites;
+    # block_sites 2 would apply the channel to 10-site states for 5 pairs
+    @pytest.mark.parametrize("extra", [{}, {"backend": "dense", "n_max": 8}])
+    def test_misaligned_block_channel_runs(self, tmp_path, capsys, extra):
         channel = {"kind": "amplitude_damping", "params": {"gamma": 0.4}, "block_sites": 2}
         path = self.write_config(tmp_path, name="cli_blocks", channel=channel, **extra)
         code = cli.main([str(path), "--output-dir", str(tmp_path)])
-        assert code == 2
-        assert "config error: channel.block_sites" in capsys.readouterr().err
-        assert not (tmp_path / "cli_blocks.report.json").exists()
+        assert code in (0, 1)
+        assert "config error" not in capsys.readouterr().err
+        assert (tmp_path / "cli_blocks.report.json").exists()
+        assert (tmp_path / "cli_blocks.decay.csv").exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_repeated_output_is_config_error(self, tmp_path, capsys, jobs):
@@ -450,3 +458,192 @@ class TestNonFiniteAndBooleanInputs:
         assert "NaN" in path.read_text()
         assert cli.main([str(path), "--output-dir", str(tmp_path)]) == 2
         assert "config error: source.process" in capsys.readouterr().err
+
+
+class TestChannelSpecAndTestNames:
+    """Channel specs and test names fail at load with a field path, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "channel,field",
+        [
+            ({"kind": "depolarizing", "params": {"p": True}}, "channel.params.p"),
+            ({"kind": "depolarizing", "params": {"p": "0.3"}}, "channel.params.p"),
+            ({"kind": "amplitude_damping", "params": {"gamma": False}}, "channel.params.gamma"),
+            ({"kind": "phase_damping", "params": {"lam": [0.2]}}, "channel.params.lam"),
+            ({"kind": "random_unitary", "params": {"seed": True}}, "channel.params.seed"),
+            ({"kind": "random_unitary", "params": {"seed": 2.7}}, "channel.params.seed"),
+            ({"kind": "random_unitary", "params": {"seed": -1}}, "channel.params.seed"),
+            ({"kind": "depolarizing", "params": 5}, "channel.params"),
+            ({"kind": "depolarizing", "params": "x"}, "channel.params"),
+            ({"kind": ["depolarizing"], "params": {"p": 0.3}}, "channel.kind"),
+            (
+                {"kind": "depolarizing", "params": {"p": 0.3}, "block_sites": True},
+                "channel.block_sites",
+            ),
+        ],
+        ids=[
+            "p_true", "p_string", "gamma_false", "lam_list", "seed_true", "seed_float",
+            "seed_negative", "params_number", "params_string", "kind_list", "block_sites_true",
+        ],
+    )
+    def test_channel_spec_rejected_at_load(self, channel, field):
+        with pytest.raises(ConfigError, match=field):
+            iid_config(channel=channel)
+
+    @pytest.mark.parametrize("tests", [[[1]], [{"a": 1}]])
+    def test_non_string_test_name_rejected(self, tests):
+        with pytest.raises(ConfigError, match="tests"):
+            iid_config(tests=tests)
+
+    def test_valid_channel_params_still_load(self):
+        iid_config(channel={"kind": "depolarizing", "params": {"p": 1}})
+        iid_config(channel={"kind": "random_unitary", "params": {"seed": 0}})
+
+    def test_cli_exits_two_on_params_number(self, tmp_path, capsys):
+        path = tmp_path / "params_number.json"
+        body = {
+            "name": "params_number",
+            "seed": 1,
+            "source": {"kind": "iid", "state": RHO_SITE},
+            "channel": {"kind": "depolarizing", "params": 5},
+        }
+        path.write_text(json.dumps(body))
+        assert cli.main([str(path), "--output-dir", str(tmp_path)]) == 2
+        assert "config error: channel.params" in capsys.readouterr().err
+        assert not (tmp_path / "params_number.report.json").exists()
+
+
+class TestUnknownSpecKeys:
+    """Typos inside source, process and channel specs fail at load, as at the top level."""
+
+    @pytest.mark.parametrize(
+        "source,field",
+        [
+            ({"kind": "iid", "state": RHO_SITE, "sate": RHO_SITE}, "source.sate"),
+            (correlated({"kind": "iid", "probs": [0.5, 0.5]}) | {"alpabet": []}, "source.alpabet"),
+            (
+                correlated({"kind": "markov", "transition": APERIODIC_T, "intial": [1, 0]}),
+                "source.process.intial",
+            ),
+            (
+                correlated({"kind": "iid", "probs": [0.5, 0.5], "transition": APERIODIC_T}),
+                "source.process.transition",
+            ),
+            (
+                correlated(
+                    {
+                        "kind": "mixture",
+                        "weights": [0.5, 0.5],
+                        "components": [
+                            {"kind": "iid", "probs": [0.9, 0.1]},
+                            {"kind": "iid", "probs": [0.1, 0.9], "weight": 1},
+                        ],
+                    }
+                ),
+                r"source.process.components\[1\].weight",
+            ),
+        ],
+        ids=["iid_state", "alphabet", "markov_initial", "iid_transition", "nested_component"],
+    )
+    def test_unknown_source_key_rejected(self, source, field):
+        with pytest.raises(ConfigError, match=field):
+            iid_config(source=source)
+
+    def test_unknown_channel_key_rejected(self):
+        with pytest.raises(ConfigError, match="channel.param"):
+            iid_config(channel={"kind": "depolarizing", "param": {"p": 0.3}})
+
+
+def _nodes(obj, path=()):
+    """Every (path, value) in a JSON tree, the root first."""
+    yield path, obj
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(obj, list):
+        for j, value in enumerate(obj):
+            yield from _nodes(value, path + (j,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    out[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return out
+
+
+FUZZ_VALUES = [
+    True, False, None, "x", [], {}, [[1]], {"a": 1},
+    float("nan"), float("inf"), -1, 0, 1e9, 2.5,
+]
+NONORTHO_ROWS = [[1, 0], [0.6, 0.8]]
+FUZZ_CONFIGS = [
+    {
+        "name": "fuzz_iid",
+        "seed": 1,
+        "site_dim": 2,
+        "source": {"kind": "iid", "state": RHO_SITE},
+        "channel": {"kind": "depolarizing", "params": {"p": 0.3}},
+        "tests": ["consistency", "weak"],
+        "tolerance": 0.02,
+        "n_max": 40,
+        "backend": "transfer",
+    },
+    {
+        "name": "fuzz_mixture",
+        "seed": 2,
+        "source": correlated(
+            {
+                "kind": "mixture",
+                "weights": [0.5, 0.5],
+                "components": [
+                    {"kind": "iid", "probs": [1, 0]},
+                    {
+                        "kind": "mixture",
+                        "weights": [0.25, 0.75],
+                        "components": [
+                            {"kind": "markov", "transition": PERIOD2_T, "initial": [1, 0]},
+                            {"kind": "iid", "probs": [0.5, 0.5]},
+                        ],
+                    },
+                ],
+            },
+            NONORTHO_ROWS,
+        ),
+        "channel": {"kind": "random_unitary", "params": {"seed": 5}, "block_sites": 2},
+        "block_sites": 2,
+        "check_sites": 4,
+        "observable_count": 1,
+    },
+    {
+        "name": "fuzz_embedding",
+        "seed": 3,
+        "source": correlated({"kind": "markov", "transition": APERIODIC_T}),
+        "channel": {"kind": "embedding", "params": {"alphabet": NONORTHO_ROWS}},
+        "backend": "auto",
+        "output_dir": "out",
+    },
+]
+
+
+class TestLoadBoundaryFuzz:
+    """Every node of three valid configs replaced by each of a fixed set of JSON values."""
+
+    @pytest.mark.parametrize("base", FUZZ_CONFIGS, ids=[c["name"] for c in FUZZ_CONFIGS])
+    def test_only_config_errors_escape(self, base):
+        ExperimentConfig.from_dict(base)
+        escaped = []
+        for path, original in _nodes(base):
+            where = ".".join(map(str, path)) or "<root>"
+            for value in FUZZ_VALUES:
+                try:
+                    ExperimentConfig.from_dict(_replaced(base, path, value))
+                except (ConfigError, ss.CapExceededError):
+                    continue
+                except Exception as exc:  # collected so one run names every bad node
+                    escaped.append(f"{where} = {value!r}: {type(exc).__name__}: {exc}")
+                    continue
+                if isinstance(value, bool) and ss.runner._is_number(original):
+                    escaped.append(f"{where} = {value!r} loaded where a number was expected")
+        assert not escaped, "\n".join(escaped)

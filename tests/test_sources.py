@@ -8,7 +8,7 @@ import pytest
 import spinsource as ss
 from spinsource.errors import AlignmentError, BackendError, CapExceededError, ShapeMismatchError
 
-from conftest import APERIODIC_T, NONORTHO, RHO_SITE
+from conftest import APERIODIC_T, NONORTHO, RHO_SITE, tensor_power
 
 
 def brute_density(process, vectors, sites):
@@ -118,7 +118,7 @@ class TestFamilyChecks:
 
     def test_block_channel_n_stationarity(self, fleet):
         blocked = ss.channel_transform_source(
-            fleet["iid"], ss.block_channel(ss.amplitude_damping_channel(0.4), 2)
+            fleet["iid"], tensor_power(ss.amplitude_damping_channel(0.4), 2)
         )
         with pytest.raises(AlignmentError):
             ss.check_stationarity(blocked, 4)
