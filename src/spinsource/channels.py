@@ -296,13 +296,18 @@ def embedding_channel(alphabet, site_dim: int | None = None) -> KrausChannel:
     return kraus_channel(ops, d)
 
 
+# name -> (parameter names, builder(params, dim))
 _STANDARD_CHANNELS = {
-    "identity": lambda params, dim: identity_channel(dim),
-    "depolarizing": lambda params, dim: depolarizing_channel(float(params["p"]), dim),
-    "amplitude_damping": lambda params, dim: amplitude_damping_channel(float(params["gamma"])),
-    "phase_damping": lambda params, dim: phase_damping_channel(float(params["lam"])),
-    "random_unitary": lambda params, dim: random_unitary_channel(dim, int(params["seed"])),
-    "embedding": lambda params, dim: embedding_channel(params["alphabet"], dim),
+    "identity": ((), lambda params, dim: identity_channel(dim)),
+    "depolarizing": (("p",), lambda params, dim: depolarizing_channel(float(params["p"]), dim)),
+    "amplitude_damping": (
+        ("gamma",), lambda params, dim: amplitude_damping_channel(float(params["gamma"]))
+    ),
+    "phase_damping": (("lam",), lambda params, dim: phase_damping_channel(float(params["lam"]))),
+    "random_unitary": (
+        ("seed",), lambda params, dim: random_unitary_channel(dim, int(params["seed"]))
+    ),
+    "embedding": (("alphabet",), lambda params, dim: embedding_channel(params["alphabet"], dim)),
 }
 
 
@@ -314,7 +319,7 @@ def make_standard_channel(name: str, params: dict | None = None, dim: int = 2) -
     """
     params = params or {}
     try:
-        make = _STANDARD_CHANNELS[name]
+        _, make = _STANDARD_CHANNELS[name]
     except KeyError:
         raise ValueError(
             f"unknown channel {name!r}; known: {sorted(_STANDARD_CHANNELS)}"

@@ -369,6 +369,18 @@ def block_mean(process: ClassicalProcess, f_table) -> complex:
     return complex(np.sum(t * f))
 
 
+def _gap_array(gaps) -> np.ndarray:
+    """gaps (a list, range, array or any iterable of integers) as int64, each >= 0."""
+    if not isinstance(gaps, (np.ndarray, list, tuple, range)):
+        gaps = list(gaps)
+    arr = np.asarray(gaps, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError("gaps must be a one-dimensional sequence")
+    if np.any(arr < 0):
+        raise ValueError("gaps must be >= 0")
+    return arr
+
+
 def classical_correlation_sweep(process: ClassicalProcess, f_table, g_table, gaps) -> np.ndarray:
     """E[f(w_1..w_m) g(w_{m+gap+1}..w_{m+gap+m'})] for each gap, exactly.
 
@@ -379,9 +391,7 @@ def classical_correlation_sweep(process: ClassicalProcess, f_table, g_table, gap
     enumerates long words.  Propagation stops once a step leaves u T^j
     bitwise unchanged: every later gap has exactly that value.
     """
-    gaps = [int(i) for i in gaps]
-    if any(i < 0 for i in gaps):
-        raise ValueError("gaps must be >= 0")
+    gaps = _gap_array(gaps)
     k = process.alphabet_size
     f = _as_block_table(f_table, k, "first block function")
     g = _as_block_table(g_table, k, "second block function")
@@ -391,13 +401,16 @@ def classical_correlation_sweep(process: ClassicalProcess, f_table, g_table, gap
     h = np.einsum("...z,hz->...h", g, e)
     for _ in range(g.ndim - 1):
         h = np.einsum("...zh,hz->...h", h @ p.T, e)
-    out = np.empty(len(gaps), dtype=complex)
-    v, step, settled = u, -1, False  # v = u T^(step+1)
-    for idx in np.argsort(gaps, kind="stable"):
-        while step < gaps[idx] and not settled:
+    out = np.empty(gaps.size, dtype=complex)
+    order = np.argsort(gaps, kind="stable")
+    v, step = u, -1  # v = u T^(step+1)
+    for pos, (idx, gap) in enumerate(zip(order.tolist(), gaps[order].tolist())):
+        while step < gap:
             nxt = v @ p
             step += 1
-            settled = step % _SETTLE_CHECK == 0 and np.array_equal(nxt, v)
+            if step % _SETTLE_CHECK == 0 and np.array_equal(nxt, v):
+                out[order[pos:]] = nxt @ h
+                return out
             v = nxt
         out[idx] = v @ h
     return out

@@ -131,7 +131,8 @@ def correlation_sequence(
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     m = a.sites
-    shifts = np.array([i for i in range(m, n_max + 1) if i % step == 0])
+    first = -(-m // step) * step  # the smallest multiple of step >= m
+    shifts = np.arange(first, n_max + 1, step)
     if shifts.size < 4:
         raise ValueError(
             f"horizon n_max={n_max} leaves {shifts.size} usable shifts, need >= 4"

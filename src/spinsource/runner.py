@@ -41,6 +41,7 @@ Config schema (JSON object; defaults in parentheses):
 from __future__ import annotations
 
 import csv
+import io
 import json
 import time
 from contextlib import contextmanager
@@ -338,6 +339,7 @@ def _transform(source, spec, site_dim: int):
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object", "channel.params")
+    _check_keys(params, _STANDARD_CHANNELS[name][0], "channel.params")
     params = dict(params)
     for key, value in params.items():
         if key in ("p", "gamma", "lam") and not _is_number(value):
@@ -379,28 +381,6 @@ class RunReport:
             "passed": self.passed,
         }
         return out
-
-    def decay_rows(self) -> list:
-        """CSV rows: one per observable pair per shift index."""
-        if self.sweep is None:
-            return []
-        rows = []
-        for pair in self.sweep.pairs:
-            strong = pair.strong_mixing
-            cesaro = pair.ergodic_mean.statistics
-            for j, i in enumerate(strong.shifts):
-                rows.append(
-                    (
-                        pair.label,
-                        int(i),
-                        float(strong.statistics[j].real),
-                        float(strong.statistics[j].imag),
-                        float(strong.target.real),
-                        float(strong.deviations[j]),
-                        float(cesaro[j].real),
-                    )
-                )
-        return rows
 
 
 def _ser_check(report) -> dict:
@@ -538,6 +518,44 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 CSV_HEADER = ("pair", "i", "corr_real", "corr_imag", "target", "abs_deviation", "cesaro_mean")
 
 
+def _csv_field(value) -> str:
+    """value as csv's default dialect writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((value, ""))
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def _float_strings(column) -> list:
+    """repr of each float64 in column, formatting each distinct bit pattern once.
+
+    Swept columns repeat heavily once a chain settles, and target and iid
+    columns are constant.  Keying on the bits keeps -0.0 apart from 0.0 and
+    NaN payloads exact.  A dict needs no sort: the first call into numpy's
+    sort kernels (np.unique) raises the peak RSS of a run with small CSVs.
+    """
+    column = np.ascontiguousarray(column, dtype=np.float64)
+    bits = column.view(np.uint64).tolist()
+    text = {b: repr(x) for b, x in dict(zip(bits, column.tolist())).items()}
+    return list(map(text.__getitem__, bits))
+
+
+def _decay_lines(pair) -> str:
+    """The pair's CSV rows, one per shift index, each ending in csv's "\r\n"."""
+    strong = pair.strong_mixing
+    head = f"{_csv_field(pair.label)},"
+    tail = f",{float(strong.target.real)!r},"
+    return "".join(
+        f"{head}{i},{re},{im}{tail}{dev},{mean}\r\n"
+        for i, re, im, dev, mean in zip(
+            strong.shifts.tolist(),
+            _float_strings(strong.statistics.real),
+            _float_strings(strong.statistics.imag),
+            _float_strings(strong.deviations),
+            _float_strings(pair.ergodic_mean.statistics.real),
+        )
+    )
+
+
 def emit_report(report: RunReport, output_dir=None) -> list:
     """Write <name>.report.json (and <name>.decay.csv when a sweep ran).
 
@@ -552,16 +570,12 @@ def emit_report(report: RunReport, output_dir=None) -> list:
         json.dumps(report.payload(), sort_keys=True, indent=2) + "\n"
     )
     written.append(json_path)
-    rows = report.decay_rows()
-    if rows:
+    if report.sweep is not None and report.sweep.pairs:
         csv_path = directory / f"{report.config.name}.decay.csv"
         with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for row in rows:
-                writer.writerow(
-                    [row[0], row[1]] + [repr(x) for x in row[2:]]
-                )
+            fh.write(",".join(CSV_HEADER) + "\r\n")
+            for pair in report.sweep.pairs:
+                fh.write(_decay_lines(pair))
         written.append(csv_path)
     return written
 

@@ -28,7 +28,7 @@ import numpy as np
 from .channels import (
     KrausChannel, _block_sites, _require_trace_preserving, apply_channel, apply_dual, validate_alphabet
 )
-from .classical import ClassicalProcess, _check_word_cap, classical_correlation_sweep
+from .classical import ClassicalProcess, _check_word_cap, _gap_array, classical_correlation_sweep
 from .errors import BackendError, ShapeMismatchError
 from .operators import DensityOperator, Operator, _check_cap, density_operator, trace_pairing
 
@@ -267,16 +267,14 @@ def source_correlation(
     (iid and classically correlated bases only); "auto" picks transfer
     when available.
     """
-    gaps = [int(i) for i in gaps]
-    if any(i < 0 for i in gaps):
-        raise ValueError("gaps must be >= 0")
+    gaps = _gap_array(gaps)
     if a.site_dim != source.site_dim or b.site_dim != source.site_dim:
         raise ShapeMismatchError("observable site dim does not match source")
     if _resolve_backend(source, backend) == "dense":
-        if gaps:
-            _check_cap(source.site_dim ** (a.sites + max(gaps) + b.sites))
-        out = np.empty(len(gaps), dtype=complex)
-        for idx, gap in enumerate(gaps):
+        if gaps.size:
+            _check_cap(source.site_dim ** (a.sites + int(gaps.max()) + b.sites))
+        out = np.empty(gaps.size, dtype=complex)
+        for idx, gap in enumerate(gaps.tolist()):
             rho = source.density(a.sites + gap + b.sites)
             joint = a.entries
             if gap:
@@ -289,7 +287,7 @@ def source_correlation(
         val = trace_pairing(src.density(ta.sites), ta) * trace_pairing(
             src.density(tb.sites), tb
         )
-        return np.full(len(gaps), val, dtype=complex)
+        return np.full(gaps.size, val, dtype=complex)
     if isinstance(src, ClassicallyCorrelatedSource):
         f = expectation_table(src.alphabet, ta)
         g = expectation_table(src.alphabet, tb)

@@ -103,9 +103,9 @@ def test_criterion_3_family_checks(fleet, broken_family, nonstationary_source):
             eye = np.eye(d**i)
             for k in range(20):
                 a = ss.random_observable(m, seed=7000 + 97 * m + 13 * i + k).entries
-                base = np.trace(dens[m] @ a)
-                right = np.trace(dens[m + i] @ np.kron(a, eye))
-                left = np.trace(dens[m + i] @ np.kron(eye, a))
+                base = np.einsum("ij,ji->", dens[m], a)
+                right = np.einsum("ij,ji->", dens[m + i], np.kron(a, eye))
+                left = np.einsum("ij,ji->", dens[m + i], np.kron(eye, a))
                 if abs(base - right) > 1e-9 or abs(base - left) > 1e-9:
                     ok = False
         if not (ss.check_consistency(src, 8).passed and ss.check_stationarity(src, 8).passed):

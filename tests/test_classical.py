@@ -334,6 +334,19 @@ class TestEarlyExit:
             assert sweep[gap] == ss.classical_correlation(process, f, g, gap)
         backwards = ss.classical_correlation_sweep(process, f, g, gaps[::-1])
         assert np.array_equal(backwards, sweep[::-1])
+        # shuffled and repeated gaps on both sides of the settle checks at 64 and 128
+        mixed = [399, 0, 64, 64, 200, 63, 399, 1, 129, 128, 127]
+        pointwise = np.array([ss.classical_correlation(process, f, g, gap) for gap in mixed])
+        shuffled = ss.classical_correlation_sweep(process, f, g, mixed)
+        assert shuffled.tobytes() == pointwise.tobytes()
+        # every accepted form of the same gaps gives the same array
+        source = ss.ClassicallyCorrelatedSource(process, ss.AlphabetSpec(np.eye(2)))
+        a, b = ss.random_observable(1, seed=3), ss.random_observable(2, seed=4)
+        spans = range(0, 400, 7)
+        forms = (list(spans), spans, np.arange(0, 400, 7), (gap for gap in spans))
+        first, *rest = (ss.source_correlation(source, a, b, form, "transfer") for form in forms)
+        for other in rest:
+            assert other.tobytes() == first.tobytes()
 
 
 class TestProcessValidation:

@@ -1,11 +1,16 @@
-"""Smoke test: every demo script runs to completion from a foreign directory."""
+"""Every demo script runs from a foreign directory, and the committed report pair reproduces."""
 
+import csv
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from spinsource.runner import CSV_HEADER, run_config_file
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -23,3 +28,44 @@ def test_demo_runs(script, tmp_path):
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert not list(tmp_path.glob("spinsource-demo-*"))
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _outcomes(payload):
+    """What must reproduce exactly: verdicts, pass/fail, failures and the decay fits' point counts."""
+    sweep = payload["sweep"]
+    pairs = {
+        p["label"]: {
+            test: (entry["verdict"], (entry.get("decay") or {}).get("points_used"))
+            for test, entry in p["tests"].items()
+        }
+        for p in sweep["pairs"]
+    }
+    checks = {name: c["passed"] for name, c in payload["checks"].items()}
+    return payload["passed"], payload["failures"], sweep["verdicts"], pairs, checks
+
+
+def test_committed_report_pair_reproduces(tmp_path):
+    """demos/reports holds what the runner writes for markov_aperiodic.json today."""
+    committed = ROOT / "demos" / "reports"
+    config = ROOT / "demos" / "configs" / "markov_aperiodic.json"
+    _, (json_path, csv_path) = run_config_file(config, {"output_dir": str(tmp_path)})
+
+    old_csv = (committed / "markov_aperiodic.decay.csv").read_bytes()
+    assert old_csv.count(b"\n") == old_csv.count(b"\r\n") > 1
+    old_rows, new_rows = _csv_rows(committed / csv_path.name), _csv_rows(csv_path)
+    assert old_rows[0] == new_rows[0] == list(CSV_HEADER)
+    assert len(old_rows) == len(new_rows)
+    assert [r[:2] for r in old_rows] == [r[:2] for r in new_rows]
+    old_numbers = np.array([r[2:] for r in old_rows[1:]], dtype=float)
+    new_numbers = np.array([r[2:] for r in new_rows[1:]], dtype=float)
+    np.testing.assert_allclose(new_numbers, old_numbers, rtol=0, atol=1e-12)
+
+    old_payload = json.loads((committed / json_path.name).read_text())
+    new_payload = json.loads(json_path.read_text())
+    assert _outcomes(new_payload) == _outcomes(old_payload)
+    assert new_payload["config"] == old_payload["config"]

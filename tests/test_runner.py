@@ -1,5 +1,7 @@
 """Experiment configs, reports, emitted files, and the command line."""
 
+import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 import spinsource as ss
 from spinsource import cli
+from spinsource.ergodicity import ErgodicityReport, PairReport
 from spinsource.errors import ConfigError
 from spinsource.runner import (
     CSV_HEADER,
@@ -219,6 +222,54 @@ class TestRunExperiment:
         assert "wall" not in payload
 
 
+NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+CRAFTED_COLUMN = np.array([
+    -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 0.1 + 0.2, 1e16,
+    -0.0, -0.0, 0.0, NAN_PAYLOAD, np.nan, 1e-300, 1e-300, 1e-300, 2.5, -7.125, 1e16,
+])
+
+
+def _complex(real, imag):
+    """real + i imag with both parts kept bit for bit (no arithmetic on -0.0, inf or NaN)."""
+    out = np.empty(len(real), dtype=complex)
+    out.real, out.imag = real, imag
+    return out
+
+
+def _crafted_pair(label, column, target):
+    """A PairReport whose statistics are the given column and its rearrangements."""
+    column = np.asarray(column, dtype=float)
+    n = column.size
+    shifts = np.arange(1, n + 1)
+    devs = np.random.default_rng(n).permutation(column)
+
+    def report(test, stats):
+        return ErgodicityReport(test, n, target, shifts, stats, devs, 0.0, 0.01, "pass")
+
+    return PairReport(
+        label,
+        report("ergodic_mean", _complex(np.roll(column, 3), column)),
+        report("weak_mixing", devs),
+        report("strong_mixing", _complex(column, column[::-1])),
+    )
+
+
+def _reference_csv(report, path):
+    """The decay CSV as csv.writer writes it, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for pair in report.sweep.pairs:
+            strong = pair.strong_mixing
+            cesaro = pair.ergodic_mean.statistics
+            for j, i in enumerate(strong.shifts):
+                values = (
+                    strong.statistics[j].real, strong.statistics[j].imag,
+                    strong.target.real, strong.deviations[j], cesaro[j].real,
+                )
+                writer.writerow([pair.label, int(i)] + [repr(float(x)) for x in values])
+
+
 class TestEmitReport:
     def test_files_and_determinism(self, tmp_path):
         cfg = markov_config(APERIODIC_T, "emit_demo", output_dir=str(tmp_path / "a"))
@@ -253,6 +304,29 @@ class TestEmitReport:
         payload = json.loads(json_path.read_text())
         assert payload["toolkit_version"] == ss.__version__
         assert list(payload) == sorted(payload)
+
+    def test_csv_matches_csv_writer_reference(self, tmp_path):
+        base = run_experiment(markov_config(APERIODIC_T, "crafted", n_max=40))
+        pairs = tuple(
+            _crafted_pair(label, column, target)
+            for label, column, target in (
+                ("plain", CRAFTED_COLUMN, complex(-0.0, 1.0)),
+                ("a,b", CRAFTED_COLUMN[::-1], complex(0.1 + 0.2, 0.0)),
+                ('say "hi"', np.full(9, 0.3), complex(np.nan, 0.0)),
+                ("two\nlines", np.linspace(-1.0, 1.0, 11), complex(1e16, -5e-324)),
+                ("", np.array([5e-324, 5e-324, -0.0, -0.0, 0.0]), complex(-np.inf, 0.0)),
+            )
+        )
+        report = dataclasses.replace(
+            base,
+            config=dataclasses.replace(base.config, output_dir=str(tmp_path / "new")),
+            sweep=dataclasses.replace(base.sweep, pairs=pairs),
+        )
+        _, csv_path = emit_report(report)
+        reference = tmp_path / "reference.csv"
+        _reference_csv(report, reference)
+        assert csv_path.read_bytes() == reference.read_bytes()
+        assert b"\r\n" in reference.read_bytes()
 
     def test_payload_echo_reruns_identically(self, tmp_path):
         cfg = markov_config(APERIODIC_T, "rerun", n_max=80)
@@ -480,10 +554,20 @@ class TestChannelSpecAndTestNames:
                 {"kind": "depolarizing", "params": {"p": 0.3}, "block_sites": True},
                 "channel.block_sites",
             ),
+            (
+                {"kind": "amplitude_damping", "params": {"gamma": 0.3, "gama": 0.5}},
+                "channel.params.gama",
+            ),
+            ({"kind": "identity", "params": {"p": 0.5}}, "channel.params.p"),
+            (
+                {"kind": "embedding", "params": {"alphabet": [[1, 0], [0, 1]], "seed": 3}},
+                "channel.params.seed",
+            ),
         ],
         ids=[
             "p_true", "p_string", "gamma_false", "lam_list", "seed_true", "seed_float",
             "seed_negative", "params_number", "params_string", "kind_list", "block_sites_true",
+            "gamma_typo", "identity_p", "embedding_seed",
         ],
     )
     def test_channel_spec_rejected_at_load(self, channel, field):
@@ -511,6 +595,19 @@ class TestChannelSpecAndTestNames:
         assert cli.main([str(path), "--output-dir", str(tmp_path)]) == 2
         assert "config error: channel.params" in capsys.readouterr().err
         assert not (tmp_path / "params_number.report.json").exists()
+
+    def test_cli_exits_two_on_unknown_param(self, tmp_path, capsys):
+        path = tmp_path / "param_typo.json"
+        body = {
+            "name": "param_typo",
+            "seed": 1,
+            "source": {"kind": "iid", "state": RHO_SITE},
+            "channel": {"kind": "amplitude_damping", "params": {"gamma": 0.3, "gama": 0.5}},
+        }
+        path.write_text(json.dumps(body))
+        assert cli.main([str(path), "--output-dir", str(tmp_path)]) == 2
+        assert "config error: channel.params.gama: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "param_typo.report.json").exists()
 
 
 class TestUnknownSpecKeys:
