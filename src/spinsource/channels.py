@@ -319,11 +319,14 @@ def make_standard_channel(name: str, params: dict | None = None, dim: int = 2) -
     """
     params = params or {}
     try:
-        _, make = _STANDARD_CHANNELS[name]
+        names, make = _STANDARD_CHANNELS[name]
     except KeyError:
         raise ValueError(
             f"unknown channel {name!r}; known: {sorted(_STANDARD_CHANNELS)}"
         ) from None
+    for key in params:
+        if key not in names:
+            raise ValueError(f"channel {name!r} takes no parameter {key!r}; known: {list(names)}")
     try:
         return make(params, dim)
     except KeyError as exc:

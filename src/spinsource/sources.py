@@ -4,31 +4,36 @@ A source assigns to every site count m a density operator rho_m such
 that tracing out trailing sites recovers the shorter states
 (consistency) and, for stationary sources, tracing out leading sites
 does too.  Each rho_m is a plain Operator, a state by construction.
-Three families are provided:
 
-* iid products of a fixed single-site state,
-* classically correlated sources driven by a symbol process, with each
-  symbol x emitting the pure state psi_x from a quantum alphabet,
-* sitewise channel transforms of another source.
+Every library source is one emission chain (initial, transition, states):
+a hidden Markov chain that emits the one-site state S_h from state h, so
+rho_m = sum_h initial(h_1) P[h_1, h_2] .. P[h_m-1, h_m] S_h1 (x) .. (x) S_hm.
 
-Correlations corr(gap) = tr(rho (a (x) I^gap (x) b)) can be evaluated
-densely (explicit rho on a (x) pad (x) b) or through a transfer route
-that reduces everything to exact classical chain algebra, so gaps in
-the thousands cost no exponential memory.  Channel transforms always
-reduce to the base source by replacing observables with their
-Heisenberg duals.
+* iid sigma: one hidden state with S_0 = sigma;
+* classically correlated: the symbol process's hidden chain with
+  S_h = sum_x emission[h, x] |psi_x><psi_x|;
+* a one-site channel E on every site: the base chain emitting E(S_h),
+  so transforms compose (the commutative case of finitely correlated
+  states, Fannes, Nachtergaele and Werner 1992).  A channel on k > 1
+  sites has no chain; it acts on the base state and runs dense only.
+
+Correlations corr(gap) = tr(rho (a (x) I^gap (x) b)) run densely
+(explicit rho on a (x) pad (x) b) or on the transfer route, which pairs
+a and b with the emitted states and hands the resulting tables of hidden
+words to the classical correlation sweep of the hidden Markov chain, so
+gaps in the thousands cost no exponential memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .channels import (
-    KrausChannel, _block_sites, _require_trace_preserving, apply_channel, apply_dual, validate_alphabet
-)
-from .classical import ClassicalProcess, _check_word_cap, _gap_array, classical_correlation_sweep
+from .channels import KrausChannel, _block_sites, _require_trace_preserving, apply_channel, validate_alphabet
+from .classical import ClassicalProcess, MarkovProcess, _check_word_cap, _gap_array, classical_correlation_sweep
 from .errors import BackendError, ShapeMismatchError
 from .operators import DensityOperator, Operator, _check_cap, density_operator, trace_pairing
 
@@ -66,6 +71,47 @@ def computational_alphabet(size: int, site_dim: int | None = None) -> AlphabetSp
     return AlphabetSpec(np.eye(d, dtype=complex)[:size])
 
 
+class EmissionChain(NamedTuple):
+    """initial (n,), transition (n, n) and one-site states (n, d, d), all read-only."""
+
+    initial: np.ndarray
+    transition: np.ndarray
+    states: np.ndarray
+
+
+def _emission_chain(hidden, states) -> EmissionChain:
+    """The hidden part (initial, transition) of ``hidden`` emitting ``states``."""
+    states = np.array(states, dtype=complex)
+    states.setflags(write=False)
+    return EmissionChain(hidden.initial, hidden.transition, states)
+
+
+def _chain_blocks(chain: EmissionChain, sites: int) -> list:
+    """T_m(h) for each hidden state h, what h emits from here on:
+    T_1(h) = S_h and T_j(h) = S_h (x) sum_g P[h, g] T_{j-1}(g)."""
+    blocks = list(chain.states)
+    for _ in range(sites - 1):
+        mixed = [sum(w * t for w, t in zip(row, blocks)) for row in chain.transition]
+        blocks = [np.kron(s, m) for s, m in zip(chain.states, mixed)]
+    return blocks
+
+
+def _chain_density(chain: EmissionChain, sites: int) -> Operator:
+    """rho_m = sum_h initial(h) T_m(h); the blocks are freed before Operator copies rho."""
+    d = chain.states.shape[1]
+    _check_cap(d**sites)  # a site count below 1 fails in Operator, after no work
+    rho = sum(q * t for q, t in zip(chain.initial, _chain_blocks(chain, sites)))
+    return Operator(rho, sites, d)
+
+
+def _state_table(chain: EmissionChain, a: Operator) -> np.ndarray:
+    """Table f[h_1..h_m] = tr((S_h1 (x) .. (x) S_hm) a) over hidden words of a's length."""
+    t = a.entries.reshape((a.site_dim,) * (2 * a.sites))
+    for rest in range(a.sites, 0, -1):  # pair the leading row and column site with S_h
+        t = np.tensordot(t, chain.states, axes=([0, rest], [2, 1]))
+    return t
+
+
 # ---------------------------------------------------------------------------
 # source families
 # ---------------------------------------------------------------------------
@@ -82,6 +128,11 @@ class IIDSource:
             raise ShapeMismatchError("iid source takes a single-site state")
         object.__setattr__(self, "site_state", density_operator(self.site_state))
 
+    # every chain is built on first use: loading a config builds its source only to validate it
+    @cached_property
+    def chain(self) -> EmissionChain:
+        return _emission_chain(MarkovProcess([[1.0]], [1.0]), [self.site_state.entries])
+
     @property
     def site_dim(self) -> int:
         return self.site_state.site_dim
@@ -91,11 +142,7 @@ class IIDSource:
         return "iid"
 
     def density(self, sites: int) -> Operator:
-        _require_sites(sites, self.site_dim)
-        out = np.array([[1.0 + 0j]])
-        for _ in range(sites):
-            out = np.kron(out, self.site_state.entries)
-        return Operator(out, sites, self.site_dim)
+        return _chain_density(self.chain, sites)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +164,12 @@ class ClassicallyCorrelatedSource:
                 f"{self.alphabet.size} alphabet vectors"
             )
 
+    @cached_property
+    def chain(self) -> EmissionChain:
+        pure = [np.outer(v, v.conj()) for v in self.alphabet.vectors]
+        states = [sum(q * r for q, r in zip(row, pure)) for row in self.process.chain.emission]
+        return _emission_chain(self.process.chain, states)
+
     @property
     def site_dim(self) -> int:
         return self.alphabet.site_dim
@@ -125,19 +178,19 @@ class ClassicallyCorrelatedSource:
     def kind(self) -> str:
         return "classically_correlated"
 
-    def _emissions(self) -> list:
-        return [np.outer(v, v.conj()) for v in self.alphabet.vectors]
-
     def density(self, sites: int) -> Operator:
-        _require_sites(sites, self.site_dim)
-        out = _correlated_density(self.process, self._emissions(), sites)
-        return Operator(out, sites, self.site_dim)
+        return _chain_density(self.chain, sites)
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelTransformedSource:
-    """rho_m = E^(x m)(base rho_m) for a trace-preserving E, checked on construction;
-    blocks of a block channel must divide m."""
+    """rho_m = E^(x m)(base rho_m) for a trace-preserving E, checked on construction.
+
+    A one-site E folds into the base's emission chain: S_h -> E(S_h), each
+    by one apply_channel call.  A user-built E on k > 1 sites, or a base
+    without a chain, leaves ``chain`` None: E acts blockwise on the base
+    state, k must divide m, and correlations run dense only.
+    """
 
     base: "QuantumSource"
     channel: KrausChannel
@@ -145,6 +198,14 @@ class ChannelTransformedSource:
     def __post_init__(self):
         _block_sites(self.base.site_dim, self.channel.dim)
         _require_trace_preserving(self.channel)
+
+    @cached_property
+    def chain(self) -> EmissionChain | None:
+        base, d = getattr(self.base, "chain", None), self.site_dim
+        if base is None or self.channel.dim != d:
+            return None
+        states = [apply_channel(self.channel, Operator(s, 1, d)).entries for s in base.states]
+        return _emission_chain(base, states)
 
     @property
     def site_dim(self) -> int:
@@ -155,7 +216,9 @@ class ChannelTransformedSource:
         return "channel_transformed"
 
     def density(self, sites: int) -> Operator:
-        return apply_channel(self.channel, self.base.density(sites))
+        if self.chain is None:
+            return apply_channel(self.channel, self.base.density(sites))
+        return _chain_density(self.chain, sites)
 
 
 QuantumSource = IIDSource | ClassicallyCorrelatedSource | ChannelTransformedSource
@@ -173,83 +236,36 @@ def channel_transform_source(source: QuantumSource, channel: KrausChannel) -> Ch
     return ChannelTransformedSource(source, channel)
 
 
-def _require_sites(sites: int, site_dim: int) -> None:
-    if sites < 1:
-        raise ValueError(f"site count must be >= 1, got {sites}")
-    _check_cap(site_dim**sites)
-
-
-def _correlated_density(process: ClassicalProcess, emissions: list, sites: int) -> np.ndarray:
-    # over the hidden chain (init, P, E), with S_h = sum_x E[h, x] R_x:
-    # T_1(h) = S_h, T_j(h) = S_h (x) sum_g P[h, g] T_{j-1}(g); rho = sum_h init(h) T_m(h)
-    init, p, e = process.chain
-    states = [sum(q * r for q, r in zip(row, emissions)) for row in e]
-    n = len(states)
-    blocks = list(states)
-    for _ in range(sites - 1):
-        blocks = [
-            np.kron(states[h], sum(p[h, g] * blocks[g] for g in range(n)))
-            for h in range(n)
-        ]
-    return sum(init[h] * blocks[h] for h in range(n))
-
-
 # ---------------------------------------------------------------------------
 # correlations
 # ---------------------------------------------------------------------------
-
-
-def _peel_transforms(source: QuantumSource, observables: list) -> tuple:
-    """Rewrite a transformed-source correlation as a base-source one.
-
-    tr(E^(x N)(rho) (a (x) I (x) b)) = tr(rho (dual(a) (x) I (x) dual(b)))
-    because the dual of a trace-preserving channel fixes the identity.
-    """
-    while isinstance(source, ChannelTransformedSource):
-        observables = [apply_dual(source.channel, o) for o in observables]
-        source = source.base
-    return source, observables
-
-
-def _amplitude_rows(vectors: np.ndarray, blocks: int) -> np.ndarray:
-    """Row w of the result is the product vector psi_w1 (x) ... (x) psi_wm."""
-    k, d = vectors.shape
-    _check_word_cap(k, blocks)
-    v = vectors
-    for _ in range(blocks - 1):
-        v = (v[:, None, :, None] * vectors[None, :, None, :]).reshape(
-            v.shape[0] * k, v.shape[1] * d
-        )
-    return v
 
 
 def expectation_table(alphabet: AlphabetSpec, a: Operator) -> np.ndarray:
     """Table g[w] = <psi_w| a |psi_w> over all words w of a's length."""
     if a.site_dim != alphabet.site_dim:
         raise ShapeMismatchError("observable site dim does not match alphabet")
-    v = _amplitude_rows(alphabet.vectors, a.sites)
+    v = alphabet.vectors  # row w is the product vector psi_w1 (x) ... (x) psi_wj
+    for _ in range(a.sites - 1):
+        v = np.einsum("wi,xj->wxij", v, alphabet.vectors).reshape(-1, v.shape[1] * alphabet.site_dim)
     g = np.einsum("wi,ij,wj->w", v.conj(), a.entries, v)
     return g.reshape((alphabet.size,) * a.sites)
 
 
 def _resolve_backend(source: QuantumSource, backend: str) -> str:
-    """The backend a correlation on ``source`` runs on.
-
-    "auto" picks transfer when the base under any channel transforms is an
-    iid or classically correlated source, and dense otherwise.
-    """
+    """The backend a correlation on ``source`` runs on: "auto" picks transfer
+    exactly when the source has an emission chain, which "transfer" needs."""
     if backend not in ("auto", "dense", "transfer"):
         raise BackendError(f"unknown backend {backend!r}")
-    if backend != "auto":
-        return backend
-    base, _ = _peel_transforms(source, [])
-    return "transfer" if isinstance(base, (IIDSource, ClassicallyCorrelatedSource)) else "dense"
+    chained = getattr(source, "chain", None) is not None
+    if backend == "transfer" and not chained:
+        raise BackendError(f"transfer backend needs an emission chain, which a {type(source).__name__} lacks")
+    return ("transfer" if chained else "dense") if backend == "auto" else backend
 
 
 def source_block_mean(source: QuantumSource, a: Operator) -> complex:
     """tr(rho_m a) for an m-site observable."""
-    src, (obs,) = _peel_transforms(source, [a])
-    return trace_pairing(src.density(obs.sites), obs)
+    return trace_pairing(source.density(a.sites), a)
 
 
 def source_correlation(
@@ -262,10 +278,10 @@ def source_correlation(
     """corr(gap) = tr(rho_{ma+gap+mb} (a (x) I^(x gap) (x) b)) for each gap.
 
     backend "dense" builds the padded state literally (site count limited
-    by the dense cap); "transfer" peels channel transforms into dual
-    observables and evaluates the rest through classical chain algebra
-    (iid and classically correlated bases only); "auto" picks transfer
-    when available.
+    by the dense cap); "transfer" pairs a and b with the emitted states,
+    f[h_1..h_ma] = tr((S_h1 (x) .. (x) S_hma) a) and likewise g for b, and
+    takes the hidden Markov chain's classical correlation of f and g;
+    "auto" picks transfer when the source has an emission chain.
     """
     gaps = _gap_array(gaps)
     if a.site_dim != source.site_dim or b.site_dim != source.site_dim:
@@ -282,19 +298,10 @@ def source_correlation(
             joint = np.kron(joint, b.entries)
             out[idx] = np.einsum("ij,ji->", rho.entries, joint)
         return out
-    src, (ta, tb) = _peel_transforms(source, [a, b])
-    if isinstance(src, IIDSource):
-        val = trace_pairing(src.density(ta.sites), ta) * trace_pairing(
-            src.density(tb.sites), tb
-        )
-        return np.full(gaps.size, val, dtype=complex)
-    if isinstance(src, ClassicallyCorrelatedSource):
-        f = expectation_table(src.alphabet, ta)
-        g = expectation_table(src.alphabet, tb)
-        return classical_correlation_sweep(src.process, f, g, gaps)
-    raise BackendError(
-        f"transfer backend does not apply to a {src.kind} base source"
-    )
+    chain = source.chain
+    _check_word_cap(chain.initial.size, max(a.sites, b.sites))
+    hidden = MarkovProcess(chain.transition, chain.initial)
+    return classical_correlation_sweep(hidden, _state_table(chain, a), _state_table(chain, b), gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +309,11 @@ def source_correlation(
 # ---------------------------------------------------------------------------
 
 
-def _trace_trailing(entries: np.ndarray, keep_dim: int) -> np.ndarray:
+def _trace_out(entries: np.ndarray, keep_dim: int, leading: bool) -> np.ndarray:
     drop = entries.shape[0] // keep_dim
-    t = entries.reshape(keep_dim, drop, keep_dim, drop)
-    return np.einsum("abcb->ac", t)
-
-
-def _trace_leading(entries: np.ndarray, keep_dim: int) -> np.ndarray:
-    drop = entries.shape[0] // keep_dim
-    t = entries.reshape(drop, keep_dim, drop, keep_dim)
-    return np.einsum("abad->bd", t)
+    if leading:
+        return np.einsum("abad->bd", entries.reshape(drop, keep_dim, drop, keep_dim))
+    return np.einsum("abcb->ac", entries.reshape(keep_dim, drop, keep_dim, drop))
 
 
 @dataclass(frozen=True)
@@ -334,23 +336,24 @@ class SourceCheckReport:
 
 
 def _reduction_check(source: QuantumSource, max_sites: int, mode: str, step: int) -> SourceCheckReport:
+    if step < 1:
+        raise ValueError(f"block must be >= 1, got {step}")
     if max_sites < 2 * step:
         raise ValueError(f"max_sites must be at least {2 * step}")
     d = source.site_dim
     _check_cap(d**max_sites)
-    reduce = _trace_trailing if mode.endswith("consistency") else _trace_leading
     states = {m: source.density(m).entries for m in range(step, max_sites + 1, step)}
     worst = 0.0
     worst_pair = (step, step)
     for top in range(2 * step, max_sites + 1, step):
         current = states[top]
         for m in range(top - step, 0, -step):
-            current = reduce(current, d**m)
+            current = _trace_out(current, d**m, mode == "stationarity")
             dev = float(np.max(np.abs(current - states[m])))
             if dev > worst:
                 worst = dev
                 worst_pair = (m, top - m)
-    return SourceCheckReport(mode, max_sites, worst, worst_pair)
+    return SourceCheckReport(f"block_{mode}" if step > 1 else mode, max_sites, worst, worst_pair)
 
 
 def check_consistency(source: QuantumSource, max_sites: int = 4) -> SourceCheckReport:
@@ -366,16 +369,10 @@ def check_stationarity(source: QuantumSource, max_sites: int = 4) -> SourceCheck
 def check_n_stationarity(source: QuantumSource, block: int, max_blocks: int = 3) -> SourceCheckReport:
     """Stationarity in steps of a block: compare rho_{jb} against leading
     reductions of rho_{(j+i)b} for all multiples up to max_blocks * block."""
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    mode = "block_stationarity" if block > 1 else "stationarity"
-    return _reduction_check(source, max_blocks * block, mode, block)
+    return _reduction_check(source, max_blocks * block, "stationarity", block)
 
 
 def check_n_consistency(source: QuantumSource, block: int, max_blocks: int = 3) -> SourceCheckReport:
     """Consistency in steps of a block, for sources defined only on block
     multiples of the site lattice."""
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    mode = "block_consistency" if block > 1 else "consistency"
-    return _reduction_check(source, max_blocks * block, mode, block)
+    return _reduction_check(source, max_blocks * block, "consistency", block)

@@ -203,3 +203,11 @@ class TestDispatch:
     def test_missing_parameter(self):
         with pytest.raises(ValueError, match="missing parameter"):
             ss.make_standard_channel("depolarizing")
+
+    @pytest.mark.parametrize(
+        "name, params, key",
+        [("identity", {"p": 0.5}, "p"), ("amplitude_damping", {"gamma": 0.3, "gama": 0.5}, "gama")],
+    )
+    def test_unknown_parameter_named(self, name, params, key):
+        with pytest.raises(ValueError, match=f"no parameter {key!r}"):
+            ss.make_standard_channel(name, params)

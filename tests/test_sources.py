@@ -8,7 +8,7 @@ import pytest
 import spinsource as ss
 from spinsource.errors import AlignmentError, BackendError, CapExceededError, ShapeMismatchError
 
-from conftest import APERIODIC_T, NONORTHO, RHO_SITE, tensor_power
+from conftest import APERIODIC_T, NONORTHO, RHO_SITE, make_fleet, make_nonstationary, tensor_power
 
 
 def brute_density(process, vectors, sites):
@@ -55,6 +55,13 @@ class TestDensities:
         src = ss.channel_transform_source(fleet["aperiodic"], dep)
         direct = ss.apply_channel(dep, fleet["aperiodic"].density(2))
         assert np.allclose(src.density(2).entries, direct.entries, atol=1e-15)
+
+    @pytest.mark.parametrize("sites", [0, -2])
+    def test_density_needs_a_site(self, fleet, sites):
+        transformed = ss.channel_transform_source(fleet["mixture"], ss.depolarizing_channel(0.3))
+        for src in (fleet["iid"], fleet["mixture"], transformed):
+            with pytest.raises(ValueError, match="site count must be >= 1"):
+                src.density(sites)
 
     def test_density_cap(self, fleet):
         with pytest.raises(CapExceededError):
@@ -240,6 +247,15 @@ class TestCorrelations:
             ss.source_correlation(Counting(), a, a, [0, 1, 40], "dense")
         assert built == []
 
+    def test_transfer_caps_hidden_word_tables(self):
+        # 1001 hidden states: a two-site table over hidden words holds 1001**2 > 1e6 entries
+        mix = ss.MixtureProcess(np.full(1001, 1 / 1001), tuple(ss.IIDProcess([0.5, 0.5]) for _ in range(1001)))
+        src = ss.construct_classically_correlated(mix, ss.computational_alphabet(2))
+        one, two = ss.random_observable(1, seed=77), ss.random_observable(2, seed=78)
+        assert np.isclose(ss.source_correlation(src, one, one, [3])[0], ss.source_block_mean(src, one) ** 2)
+        with pytest.raises(CapExceededError):
+            ss.source_correlation(src, two, one, [0], "transfer")
+
     @pytest.mark.parametrize(
         "process",
         [
@@ -286,3 +302,115 @@ class TestEmbeddingReproduction:
         for m in range(1, 5):
             dev = np.max(np.abs(direct.density(m).entries - lifted.density(m).entries))
             assert dev <= 1e-12
+
+
+# every standard one-site channel, by site dimension
+FOLD_CHANNELS = {
+    2: {
+        "identity": ss.identity_channel(2),
+        "depolarizing": ss.depolarizing_channel(0.3),
+        "amplitude_damping": ss.amplitude_damping_channel(0.4),
+        "phase_damping": ss.phase_damping_channel(0.35),
+        "random_unitary": ss.random_unitary_channel(2, seed=5),
+        "embedding": ss.embedding_channel(NONORTHO),
+        "pinching_rotated": ss.pinching_channel(ss.PinchingBasis(ss.haar_unitary(2, seed=9))),
+    },
+    3: {
+        "depolarizing": ss.depolarizing_channel(0.3, dim=3),
+        "random_unitary": ss.random_unitary_channel(3, seed=6),
+    },
+}
+NONORTHO3 = np.array([[1.0, 0, 0], [0.6, 0.8, 0], [0.0, 0.6j, 0.8]], dtype=complex)
+
+
+def fold_sources() -> dict:
+    """(site dim, name) -> base source: the fleet, the nonstationary source,
+    a two-channel nested transform, and a Markov source at site dim 3."""
+    fleet = make_fleet()
+    out = {(2, name): src for name, src in fleet.items()}
+    out[2, "nonstationary"] = make_nonstationary()
+    out[2, "nested"] = ss.channel_transform_source(
+        ss.channel_transform_source(fleet["aperiodic"], ss.depolarizing_channel(0.2)),
+        ss.phase_damping_channel(0.5),
+    )
+    out[3, "markov"] = ss.ClassicallyCorrelatedSource(
+        ss.MarkovProcess([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]), ss.AlphabetSpec(NONORTHO3)
+    )
+    return out
+
+
+FOLD_SOURCES = fold_sources()
+FOLD_CASES = [(d, source, channel) for (d, source) in FOLD_SOURCES for channel in FOLD_CHANNELS[d]]
+FOLD_IDS = [f"d{d}-{source}-{channel}" for d, source, channel in FOLD_CASES]
+
+
+def sitewise_density(source, sites: int) -> np.ndarray:
+    """rho_m with every channel transform applied to the whole state through the Kraus layer."""
+    if isinstance(source, ss.ChannelTransformedSource):
+        base = ss.Operator(sitewise_density(source.base, sites), sites, source.site_dim)
+        return ss.apply_channel(source.channel, base).entries
+    return source.density(sites).entries
+
+
+class TestEmissionFold:
+    """A one-site channel folded into the emitted states equals the channel on the whole state."""
+
+    @pytest.mark.parametrize("d, source, channel", FOLD_CASES, ids=FOLD_IDS)
+    def test_fold_matches_kraus_layer(self, d, source, channel):
+        base, ch = FOLD_SOURCES[d, source], FOLD_CHANNELS[d][channel]
+        folded = ss.channel_transform_source(base, ch)
+        assert folded.chain is not None
+        for m in range(1, 7):
+            expected = ss.apply_channel(ch, ss.Operator(sitewise_density(base, m), m, d)).entries
+            assert np.max(np.abs(folded.density(m).entries - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("d, source, channel", FOLD_CASES, ids=FOLD_IDS)
+    def test_folded_backends_agree(self, d, source, channel):
+        folded = ss.channel_transform_source(FOLD_SOURCES[d, source], FOLD_CHANNELS[d][channel])
+        # at site dim 3, two-site blocks stop at gap 1 (243 rows): gap 3 would need 2187
+        for block, gaps in ((1, range(4)), (2, range(4) if d == 2 else range(2))):
+            a = ss.random_observable(block, seed=80 + block, site_dim=d)
+            b = ss.random_observable(block, seed=90 + block, site_dim=d)
+            dense = ss.source_correlation(folded, a, b, gaps, "dense")
+            transfer = ss.source_correlation(folded, a, b, gaps, "transfer")
+            assert np.max(np.abs(dense - transfer)) <= 1e-12
+
+    def test_folded_states_are_channel_images(self, fleet):
+        ch = ss.amplitude_damping_channel(0.4)
+        base = fleet["mixture"].chain
+        folded = ss.channel_transform_source(fleet["mixture"], ch).chain
+        assert folded.initial is base.initial and folded.transition is base.transition
+        for s, t in zip(base.states, folded.states):
+            assert np.array_equal(t, ss.apply_channel(ch, ss.Operator(s, 1, 2)).entries)
+        assert not folded.states.flags.writeable
+
+
+class TestMultiSiteChannel:
+    """A user-built channel on two sites has no emission chain and runs dense only."""
+
+    @pytest.fixture
+    def blocked(self, fleet):
+        return ss.channel_transform_source(fleet["iid"], tensor_power(ss.amplitude_damping_channel(0.4), 2))
+
+    def test_density_matches_sitewise(self, fleet, blocked):
+        sitewise = ss.channel_transform_source(fleet["iid"], ss.amplitude_damping_channel(0.4))
+        assert blocked.chain is None
+        for m in (2, 4, 6):
+            assert np.max(np.abs(blocked.density(m).entries - sitewise.density(m).entries)) <= 1e-14
+        with pytest.raises(AlignmentError):
+            blocked.density(3)
+
+    def test_auto_resolves_to_dense(self, blocked, broken_family):
+        from spinsource.sources import _resolve_backend
+
+        assert _resolve_backend(blocked, "auto") == "dense"
+        assert _resolve_backend(broken_family, "auto") == "dense"
+        assert _resolve_backend(FOLD_SOURCES[2, "nested"], "auto") == "transfer"
+
+    def test_transfer_raises(self, fleet, blocked):
+        a = ss.random_observable(2, seed=95)
+        with pytest.raises(BackendError):
+            ss.source_correlation(blocked, a, a, [0], "transfer")
+        dense = ss.source_correlation(blocked, a, a, [0, 2], "auto")
+        sitewise = ss.channel_transform_source(fleet["iid"], ss.amplitude_damping_channel(0.4))
+        assert np.max(np.abs(dense - ss.source_correlation(sitewise, a, a, [0, 2], "transfer"))) <= 1e-12
