@@ -118,16 +118,15 @@ def dual_channel(channel: KrausChannel) -> KrausChannel:
 
 def _block_sites(site_dim: int, channel_dim: int) -> int:
     """Sites one channel block spans, or raise AlignmentError."""
-    block = 0
-    d = 1
+    block, d = 1, site_dim
     while d < channel_dim:
         d *= site_dim
         block += 1
     if d != channel_dim:
         raise AlignmentError(
-            f"channel dim {channel_dim} is not a power of site dim {site_dim}"
+            f"channel dim {channel_dim} is not a positive power of site dim {site_dim}"
         )
-    return max(block, 1)
+    return block
 
 
 def _block_layout(op_sites: int, site_dim: int, channel_dim: int):

@@ -17,6 +17,10 @@ rho_m = sum_h initial(h_1) P[h_1, h_2] .. P[h_m-1, h_m] S_h1 (x) .. (x) S_hm.
   states, Fannes, Nachtergaele and Werner 1992).  A channel on k > 1
   sites has no chain; it acts on the base state and runs dense only.
 
+A source keeps each rho_m it builds for its own lifetime, so a repeat call
+returns the same read-only Operator: at most d^2/(d^2-1) times the largest
+state (4/3 for qubits), and a k-site transform's base keeps its own too.
+
 Correlations corr(gap) = tr(rho (a (x) I^gap (x) b)) run densely
 (explicit rho on a (x) pad (x) b) or on the transfer route, which pairs
 a and b with the emitted states and hands the resulting tables of hidden
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -96,12 +101,24 @@ def _chain_blocks(chain: EmissionChain, sites: int) -> list:
     return blocks
 
 
-def _chain_density(chain: EmissionChain, sites: int) -> Operator:
-    """rho_m = sum_h initial(h) T_m(h); the blocks are freed before Operator copies rho."""
-    d = chain.states.shape[1]
-    _check_cap(d**sites)  # a site count below 1 fails in Operator, after no work
+def _density(source, sites: int) -> Operator:
+    """rho_m of a library source, built on the first call for m and kept with the source.
+    The cap is checked on every call; a build that raises keeps nothing."""
+    _check_cap(source.site_dim ** index(sites))  # a site count below 1 fails in Operator, after no work
+    built = source.__dict__.setdefault("_densities", {})
+    if sites not in built:
+        built[sites] = _build_density(source, sites)
+    return built[sites]
+
+
+def _build_density(source, sites: int) -> Operator:
+    """rho_m = sum_h initial(h) T_m(h), or the k-site channel on the base state of a
+    chainless source; the blocks are freed before Operator copies rho."""
+    chain = source.chain
+    if chain is None:
+        return apply_channel(source.channel, source.base.density(sites))
     rho = sum(q * t for q, t in zip(chain.initial, _chain_blocks(chain, sites)))
-    return Operator(rho, sites, d)
+    return Operator(rho, sites, source.site_dim)
 
 
 def _state_table(chain: EmissionChain, a: Operator) -> np.ndarray:
@@ -142,7 +159,7 @@ class IIDSource:
         return "iid"
 
     def density(self, sites: int) -> Operator:
-        return _chain_density(self.chain, sites)
+        return _density(self, sites)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +196,7 @@ class ClassicallyCorrelatedSource:
         return "classically_correlated"
 
     def density(self, sites: int) -> Operator:
-        return _chain_density(self.chain, sites)
+        return _density(self, sites)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +233,7 @@ class ChannelTransformedSource:
         return "channel_transformed"
 
     def density(self, sites: int) -> Operator:
-        if self.chain is None:
-            return apply_channel(self.channel, self.base.density(sites))
-        return _chain_density(self.chain, sites)
+        return _density(self, sites)
 
 
 QuantumSource = IIDSource | ClassicallyCorrelatedSource | ChannelTransformedSource

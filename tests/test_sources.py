@@ -75,6 +75,13 @@ class TestDensities:
         with pytest.raises(AlignmentError):
             ss.channel_transform_source(fleet["iid"], ss.depolarizing_channel(0.3, dim=3))
 
+    def test_one_dimensional_channel_rejected(self, fleet):
+        trivial = ss.KrausChannel((np.eye(1, dtype=complex),), 1)
+        with pytest.raises(AlignmentError, match="positive power"):
+            ss.channel_transform_source(fleet["iid"], trivial)
+        with pytest.raises(AlignmentError, match="positive power"):
+            ss.apply_channel(trivial, fleet["iid"].density(2))
+
     def test_alphabet_size_must_match_process(self, processes):
         with pytest.raises(ShapeMismatchError):
             ss.ClassicallyCorrelatedSource(
@@ -414,3 +421,87 @@ class TestMultiSiteChannel:
         dense = ss.source_correlation(blocked, a, a, [0, 2], "auto")
         sitewise = ss.channel_transform_source(fleet["iid"], ss.amplitude_damping_channel(0.4))
         assert np.max(np.abs(dense - ss.source_correlation(sitewise, a, a, [0, 2], "transfer"))) <= 1e-12
+
+
+def cache_sources() -> dict:
+    """Fresh sources of every density path, with nothing built yet."""
+    fleet = make_fleet()
+    damping = ss.amplitude_damping_channel(0.4)
+    return {
+        "iid": fleet["iid"],
+        "correlated": fleet["mixture"],
+        "transformed": ss.channel_transform_source(fleet["aperiodic"], damping),
+        "blocked": ss.channel_transform_source(fleet["iid"], tensor_power(damping, 2)),
+    }
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(source, sites) of every state the library builds, not looks up."""
+    from spinsource import sources
+
+    built, build = [], sources._build_density
+
+    def counting(source, sites):
+        built.append((source, sites))
+        return build(source, sites)
+
+    monkeypatch.setattr(sources, "_build_density", counting)
+    return built
+
+
+class TestDensityCache:
+    """A library source builds each rho_m once and keeps it for its lifetime."""
+
+    @pytest.mark.parametrize("name", ["iid", "correlated", "transformed", "blocked"])
+    def test_repeat_returns_same_read_only_state(self, builds, name):
+        src = cache_sources()[name]
+        rho = src.density(4)
+        assert src.density(4) is rho and src.density(2) is src.density(2)
+        assert not rho.entries.flags.writeable
+        assert [m for s, m in builds if s is src] == [4, 2]
+
+    def test_density_stays_a_method_of_each_family(self):
+        # the benchmark's probes wrap each family's own density method
+        for cls in (ss.IIDSource, ss.ClassicallyCorrelatedSource, ss.ChannelTransformedSource):
+            assert "density" in cls.__dict__
+
+    def test_sweep_and_checks_build_each_site_count_once(self, builds):
+        src = cache_sources()["transformed"]
+        ss.sweep_report(src, n_max=6, backend="dense", random_pair_count=1, seed=3)
+        ss.check_consistency(src, max_sites=5)
+        ss.check_stationarity(src, max_sites=5)
+        assert sorted(m for _, m in builds) == [1, 2, 3, 4, 5, 6, 7]
+
+    def test_lowered_cap_still_raises_after_a_build(self, monkeypatch):
+        src = cache_sources()["correlated"]
+        src.density(4)
+        monkeypatch.setenv(ss.operators.DENSE_CAP_ENV, "8")
+        with pytest.raises(CapExceededError):
+            src.density(4)
+        assert src.density(3).dim == 8
+
+    def test_misaligned_build_caches_nothing(self, builds):
+        src = cache_sources()["blocked"]
+        for _ in range(2):
+            with pytest.raises(AlignmentError):
+                src.density(3)
+        assert [m for s, m in builds if s is src] == [3, 3]
+
+    def test_site_count_must_be_an_integer_cold_or_warm(self):
+        src = cache_sources()["correlated"]
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                src.density(2.0)
+            src.density(2)
+        assert src.density(np.int64(2)) is src.density(2)
+
+    @pytest.mark.parametrize("name", ["iid", "correlated", "transformed", "blocked"])
+    def test_cached_correlations_are_bitwise_fresh(self, name):
+        a, b = ss.random_observable(2, seed=61), ss.random_observable(2, seed=62)
+        gaps = [0, 2, 4, 2, 0] if name == "blocked" else [0, 1, 3, 2, 1]
+        warm = cache_sources()[name]
+        first = ss.source_correlation(warm, a, b, gaps, "dense")
+        second = ss.source_correlation(warm, a, b, gaps, "dense")
+        fresh = ss.source_correlation(cache_sources()[name], a, b, gaps, "dense")
+        assert first.tobytes() == fresh.tobytes() and second.tobytes() == fresh.tobytes()

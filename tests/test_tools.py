@@ -72,3 +72,45 @@ def test_missing_file_and_csv_rows_mismatch(tmp_path):
     result = _compare(a, b)
     assert result.returncode == 1
     assert "only in A" in result.stdout and "run.decay.csv rows" in result.stdout
+
+
+def _bench_pairs():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PARENT_WALL = [0.23, 0.22, 0.24, 0.23, 0.25, 0.22, 0.23, 0.24, 0.23, 0.22]
+
+
+def test_claim_holds_for_a_clear_gain():
+    verdict = _bench_pairs().judge_pairs(PARENT_WALL, [p / 2 for p in PARENT_WALL], "lower")
+    assert verdict["wins"] == 10 and verdict["claim_holds"]
+    assert verdict["parent"] == pytest.approx((0.2225, 0.23, 0.2375))
+    assert verdict["parent_iqr"] == pytest.approx(0.015)
+
+
+@pytest.mark.parametrize(
+    "change, why",
+    [
+        ([p - 0.02 for p in PARENT_WALL[:9]] + [0.26], "wins"),  # 9 of 10 wins, median gain > IQR: holds
+        ([p - 0.02 for p in PARENT_WALL[:8]] + [0.26, 0.26], "8 wins"),
+        ([p - 0.01 for p in PARENT_WALL], "gain within the parent's IQR"),
+        ([p / 2 for p in PARENT_WALL[:9]], "9 pairs"),
+    ],
+)
+def test_claim_rule_edges(change, why):
+    verdict = _bench_pairs().judge_pairs(PARENT_WALL[: len(change)], change, "lower")
+    assert verdict["claim_holds"] == (why == "wins")
+
+
+def test_higher_is_better_and_ties_are_no_win():
+    bench = _bench_pairs()
+    verdict = bench.judge_pairs([1.0] * 10, [2.0] * 9 + [1.0], "higher")
+    assert verdict["wins"] == 9 and verdict["claim_holds"]
+    assert not bench.judge_pairs([1.0] * 10, [2.0] * 10, "lower")["claim_holds"]
+    with pytest.raises(ValueError):
+        bench.judge_pairs([1.0], [1.0, 2.0], "lower")
