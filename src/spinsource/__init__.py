@@ -83,8 +83,6 @@ from .sources import (
     SourceCheckReport,
     channel_transform_source,
     check_consistency,
-    check_n_consistency,
-    check_n_stationarity,
     check_stationarity,
     computational_alphabet,
     construct_classically_correlated,

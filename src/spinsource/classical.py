@@ -32,10 +32,11 @@ _EDGE_TOL = 1e-14
 _SETTLE_CHECK = 64
 
 
-def _check_word_cap(k: int, length: int) -> None:
-    if k**length > WORD_ENUMERATION_CAP:
+def _check_word_cap(k: int, length: int, hidden: int) -> None:
+    """A table of k**length words by ``hidden`` end states, as _hidden_table builds, fits the cap."""
+    if k**length * hidden > WORD_ENUMERATION_CAP:
         raise CapExceededError(
-            f"{k}**{length} words exceeds enumeration cap {WORD_ENUMERATION_CAP}",
+            f"{k}**{length} words x {hidden} hidden states exceeds enumeration cap {WORD_ENUMERATION_CAP}",
             cap=WORD_ENUMERATION_CAP,
         )
 
@@ -233,7 +234,7 @@ def marginal_table(process: ClassicalProcess, length: int) -> np.ndarray:
     """All word probabilities of a given length as a (k,)*length array."""
     if length < 1:
         raise ValueError(f"word length must be >= 1, got {length}")
-    _check_word_cap(process.alphabet_size, length)
+    _check_word_cap(process.alphabet_size, length, process.chain.initial.size)
     return _hidden_table(process.chain, length).sum(axis=-1)
 
 

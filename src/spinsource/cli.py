@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import CapExceededError, ConfigError
-from .runner import ExperimentConfig, emit_report, load_config_file, run_experiment
+from .runner import ExperimentConfig, emit_report, run_experiment
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     owners = {}
     for path in args.configs:
         try:
-            config = load_config_file(path, overrides)
+            config = ExperimentConfig.from_json(path, overrides)
             target = (Path(config.output_dir).resolve(), config.name)
             if target in owners:
                 raise ConfigError(f"writes the same files as {owners[target]}", "name")

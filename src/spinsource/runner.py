@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .channels import _STANDARD_CHANNELS, make_standard_channel
+from .channels import _STANDARD_CHANNELS, _is_real, make_standard_channel
 from .classical import (
     ClassificationReport,
     IIDProcess,
@@ -66,8 +66,8 @@ from .sources import (
     ChannelTransformedSource,
     ClassicallyCorrelatedSource,
     IIDSource,
-    check_n_consistency,
-    check_n_stationarity,
+    check_consistency,
+    check_stationarity,
 )
 from .ergodicity import SourceSweepReport, sweep_report
 
@@ -96,9 +96,9 @@ def _decode_matrix(obj, field: str) -> np.ndarray:
             raise ConfigError(f"row {r} is not a nonempty list", field)
         out = []
         for c, entry in enumerate(row):
-            if _is_number(entry):
+            if _is_real(entry):
                 out.append(complex(entry))
-            elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
+            elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_real, entry)):
                 out.append(complex(entry[0], entry[1]))
             else:
                 raise ConfigError(
@@ -149,14 +149,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    """JSON numbers only, so true/false are not read as 1/0."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_reals(value) -> bool:
     """A JSON number, or a list of such values at any depth."""
-    return _is_number(value) or (isinstance(value, list) and all(map(_is_reals, value)))
+    return _is_real(value) or (isinstance(value, list) and all(map(_is_reals, value)))
 
 
 def _read_json(path):
@@ -256,7 +251,7 @@ class ExperimentConfig:
             raise ConfigError("backend must be auto, dense, or transfer", "backend")
         tolerance = raw.get("tolerance")
         if tolerance is not None:
-            if not _is_number(tolerance) or not 0 < tolerance < 1:
+            if not _is_real(tolerance) or not 0 < tolerance < 1:
                 raise ConfigError("tolerance must be a number in (0, 1)", "tolerance")
             tolerance = float(tolerance)
         output_dir = raw.get("output_dir", ".")
@@ -282,8 +277,13 @@ class ExperimentConfig:
         return config
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(_read_json(path))
+    def from_json(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
+        """One config file, with overrides (raw config keys, such as the CLI's)
+        merged over the file's object so they pass the same checks."""
+        raw = _read_json(path)
+        if overrides and isinstance(raw, dict):
+            raw = {**raw, **overrides}
+        return cls.from_dict(raw)
 
     def echo(self) -> dict:
         """Round-trippable resolved config (emission directory excluded)."""
@@ -339,13 +339,13 @@ def _transform(source, spec, site_dim: int):
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object", "channel.params")
-    _check_keys(params, _STANDARD_CHANNELS[name][0], "channel.params")
+    kinds = _STANDARD_CHANNELS[name][0]
+    _check_keys(params, kinds, "channel.params")
     params = dict(params)
     for key, value in params.items():
-        if key in ("p", "gamma", "lam") and not _is_number(value):
-            raise ConfigError("must be a number", f"channel.params.{key}")
-        if key == "seed" and not (_is_int(value) and value >= 0):
-            raise ConfigError("must be an integer >= 0", f"channel.params.{key}")
+        what, ok = kinds[key]
+        if not ok(value):
+            raise ConfigError(f"must be {what}", f"channel.params.{key}")
     if "alphabet" in params:
         params["alphabet"] = _decode_matrix(params["alphabet"], "channel.params.alphabet")
     with _as_config_error("channel"):
@@ -459,13 +459,12 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
     source, process = build_source(config)
     checks = {}
-    blocks = (config.channel_spec or {}).get("block_sites", 1)
-    # at block 1 these are check_consistency / check_stationarity over check_sites
-    max_blocks = max(2, config.check_sites // blocks)
+    block = (config.channel_spec or {}).get("block_sites", 1)
+    max_sites = max(2, config.check_sites // block) * block
     if "consistency" in config.tests:
-        checks["consistency"] = check_n_consistency(source, blocks, max_blocks)
+        checks["consistency"] = check_consistency(source, max_sites, block)
     if "stationarity" in config.tests:
-        checks["stationarity"] = check_n_stationarity(source, blocks, max_blocks)
+        checks["stationarity"] = check_stationarity(source, max_sites, block)
     sweep = None
     selected_mixing = [t for t in _MIXING if t in config.tests]
     if selected_mixing:
@@ -580,19 +579,7 @@ def emit_report(report: RunReport, output_dir=None) -> list:
     return written
 
 
-def load_config_file(path, overrides: dict | None = None) -> ExperimentConfig:
-    """One config file with CLI overrides merged in.
-
-    Overrides are raw config keys merged over the file's object before
-    validation, so they pass the same checks as the file itself.
-    """
-    raw = _read_json(path)
-    if overrides and isinstance(raw, dict):
-        raw = {**raw, **overrides}
-    return ExperimentConfig.from_dict(raw)
-
-
 def run_config_file(path, overrides: dict | None = None) -> tuple:
     """(RunReport, written paths) for one config file, with CLI overrides."""
-    report = run_experiment(load_config_file(path, overrides))
+    report = run_experiment(ExperimentConfig.from_json(path, overrides))
     return report, emit_report(report)

@@ -121,11 +121,12 @@ def _build_density(source, sites: int) -> Operator:
     return Operator(rho, sites, source.site_dim)
 
 
-def _state_table(chain: EmissionChain, a: Operator) -> np.ndarray:
-    """Table f[h_1..h_m] = tr((S_h1 (x) .. (x) S_hm) a) over hidden words of a's length."""
+def _state_table(states: np.ndarray, a: Operator) -> np.ndarray:
+    """Table f[h_1..h_m] = tr((S_h1 (x) .. (x) S_hm) a) over words of a's length,
+    for one-site states S of shape (n, d, d)."""
     t = a.entries.reshape((a.site_dim,) * (2 * a.sites))
     for rest in range(a.sites, 0, -1):  # pair the leading row and column site with S_h
-        t = np.tensordot(t, chain.states, axes=([0, rest], [2, 1]))
+        t = np.tensordot(t, states, axes=([0, rest], [2, 1]))
     return t
 
 
@@ -153,10 +154,6 @@ class IIDSource:
     @property
     def site_dim(self) -> int:
         return self.site_state.site_dim
-
-    @property
-    def kind(self) -> str:
-        return "iid"
 
     def density(self, sites: int) -> Operator:
         return _density(self, sites)
@@ -191,10 +188,6 @@ class ClassicallyCorrelatedSource:
     def site_dim(self) -> int:
         return self.alphabet.site_dim
 
-    @property
-    def kind(self) -> str:
-        return "classically_correlated"
-
     def density(self, sites: int) -> Operator:
         return _density(self, sites)
 
@@ -228,10 +221,6 @@ class ChannelTransformedSource:
     def site_dim(self) -> int:
         return self.base.site_dim
 
-    @property
-    def kind(self) -> str:
-        return "channel_transformed"
-
     def density(self, sites: int) -> Operator:
         return _density(self, sites)
 
@@ -260,11 +249,8 @@ def expectation_table(alphabet: AlphabetSpec, a: Operator) -> np.ndarray:
     """Table g[w] = <psi_w| a |psi_w> over all words w of a's length."""
     if a.site_dim != alphabet.site_dim:
         raise ShapeMismatchError("observable site dim does not match alphabet")
-    v = alphabet.vectors  # row w is the product vector psi_w1 (x) ... (x) psi_wj
-    for _ in range(a.sites - 1):
-        v = np.einsum("wi,xj->wxij", v, alphabet.vectors).reshape(-1, v.shape[1] * alphabet.site_dim)
-    g = np.einsum("wi,ij,wj->w", v.conj(), a.entries, v)
-    return g.reshape((alphabet.size,) * a.sites)
+    v = alphabet.vectors
+    return _state_table(v[:, :, None] * v[:, None, :].conj(), a)
 
 
 def _resolve_backend(source: QuantumSource, backend: str) -> str:
@@ -314,9 +300,10 @@ def source_correlation(
             out[idx] = np.einsum("ij,ji->", rho.entries, joint)
         return out
     chain = source.chain
-    _check_word_cap(chain.initial.size, max(a.sites, b.sites))
-    hidden = MarkovProcess(chain.transition, chain.initial)
-    return classical_correlation_sweep(hidden, _state_table(chain, a), _state_table(chain, b), gaps)
+    n = chain.initial.size
+    _check_word_cap(n, max(a.sites, b.sites), n)  # the sweep's table over hidden words, per end state
+    f, g = (_state_table(chain.states, x) for x in (a, b))
+    return classical_correlation_sweep(MarkovProcess(chain.transition, chain.initial), f, g, gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -350,44 +337,34 @@ class SourceCheckReport:
         return self.worst_deviation <= self.tol
 
 
-def _reduction_check(source: QuantumSource, max_sites: int, mode: str, step: int) -> SourceCheckReport:
-    if step < 1:
-        raise ValueError(f"block must be >= 1, got {step}")
-    if max_sites < 2 * step:
-        raise ValueError(f"max_sites must be at least {2 * step}")
+def _reduction_check(source: QuantumSource, max_sites: int, mode: str, block: int) -> SourceCheckReport:
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    if max_sites < 2 * block or max_sites % block:
+        raise ValueError(f"max_sites must be a multiple of {block} and at least {2 * block}, got {max_sites}")
     d = source.site_dim
     _check_cap(d**max_sites)
-    states = {m: source.density(m).entries for m in range(step, max_sites + 1, step)}
+    states = {m: source.density(m).entries for m in range(block, max_sites + 1, block)}
     worst = 0.0
-    worst_pair = (step, step)
-    for top in range(2 * step, max_sites + 1, step):
+    worst_pair = (block, block)
+    for top in range(2 * block, max_sites + 1, block):
         current = states[top]
-        for m in range(top - step, 0, -step):
+        for m in range(top - block, 0, -block):
             current = _trace_out(current, d**m, mode == "stationarity")
             dev = float(np.max(np.abs(current - states[m])))
             if dev > worst:
                 worst = dev
                 worst_pair = (m, top - m)
-    return SourceCheckReport(f"block_{mode}" if step > 1 else mode, max_sites, worst, worst_pair)
+    return SourceCheckReport(f"block_{mode}" if block > 1 else mode, max_sites, worst, worst_pair)
 
 
-def check_consistency(source: QuantumSource, max_sites: int = 4) -> SourceCheckReport:
-    """Verify tr(rho_m a) = tr(rho_{m+i} (a (x) I^(x i))) for all m + i <= max_sites."""
-    return _reduction_check(source, max_sites, "consistency", 1)
+def check_consistency(source: QuantumSource, max_sites: int = 4, block: int = 1) -> SourceCheckReport:
+    """Verify tr(rho_m a) = tr(rho_{m+i} (a (x) I^(x i))) for all m + i <= max_sites,
+    with m and i multiples of ``block`` (mode "block_consistency" when block > 1)."""
+    return _reduction_check(source, max_sites, "consistency", block)
 
 
-def check_stationarity(source: QuantumSource, max_sites: int = 4) -> SourceCheckReport:
-    """Verify tr(rho_m a) = tr(rho_{m+i} (I^(x i) (x) a)) for all m + i <= max_sites."""
-    return _reduction_check(source, max_sites, "stationarity", 1)
-
-
-def check_n_stationarity(source: QuantumSource, block: int, max_blocks: int = 3) -> SourceCheckReport:
-    """Stationarity in steps of a block: compare rho_{jb} against leading
-    reductions of rho_{(j+i)b} for all multiples up to max_blocks * block."""
-    return _reduction_check(source, max_blocks * block, "stationarity", block)
-
-
-def check_n_consistency(source: QuantumSource, block: int, max_blocks: int = 3) -> SourceCheckReport:
-    """Consistency in steps of a block, for sources defined only on block
-    multiples of the site lattice."""
-    return _reduction_check(source, max_blocks * block, "consistency", block)
+def check_stationarity(source: QuantumSource, max_sites: int = 4, block: int = 1) -> SourceCheckReport:
+    """Verify tr(rho_m a) = tr(rho_{m+i} (I^(x i) (x) a)) for all m + i <= max_sites,
+    with m and i multiples of ``block`` (mode "block_stationarity" when block > 1)."""
+    return _reduction_check(source, max_sites, "stationarity", block)

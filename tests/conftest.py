@@ -1,4 +1,7 @@
-"""Shared source fleet and deliberately defective families for the suite."""
+"""Shared source fleet, deliberately defective families and a memory guard for the suite."""
+
+import resource
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,10 @@ import spinsource as ss
 
 settings.register_profile("suite", deadline=None, max_examples=30, derandomize=True)
 settings.load_profile("suite")
+
+# the suite's peak resident set stays below this; a test that pushes it past fails by name
+MAX_RSS_BYTES = 1 << 30
+_RSS_UNIT = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS, KiB on Linux
 
 APERIODIC_T = np.array([[0.9, 0.1], [0.2, 0.8]])
 PERIOD2_T = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -59,7 +66,6 @@ class BrokenFamily:
     """Looks like a source but rho_2 belongs to a different state family."""
 
     site_dim = 2
-    kind = "broken"
 
     def __init__(self):
         self._good = ss.ClassicallyCorrelatedSource(
@@ -102,3 +108,21 @@ def broken_family():
 @pytest.fixture
 def nonstationary_source():
     return make_nonstationary()
+
+
+def _peak_rss_bytes() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * _RSS_UNIT
+
+
+@pytest.fixture(autouse=True)
+def rss_guard(request):
+    """Fail the test during which the process's peak RSS first exceeds MAX_RSS_BYTES.
+
+    The peak is a high-water mark, so only the test that crosses the line is
+    blamed; the ones after it could not raise it further."""
+    before = _peak_rss_bytes()
+    yield
+    after = _peak_rss_bytes()
+    if before <= MAX_RSS_BYTES < after:
+        pytest.fail(f"{request.node.nodeid} raised the peak RSS to {after / 2**20:.0f} MiB, "
+                    f"above the suite's {MAX_RSS_BYTES / 2**20:.0f} MiB")

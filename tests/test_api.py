@@ -1,0 +1,36 @@
+"""The public surface of the package, pinned name by name."""
+
+import spinsource as ss
+
+# every public name; a removal or addition shows here and is listed in CHANGES.md
+PUBLIC_NAMES = [
+    "AlignmentError", "AlphabetError", "AlphabetSpec", "BackendError", "CapExceededError",
+    "ChannelTransformedSource", "ClassicalConsistencyReport", "ClassicalProcess",
+    "ClassicallyCorrelatedSource", "ClassificationReport", "ConfigError", "DecayFit",
+    "DensityOperator", "DensityReport", "ErgodicityReport", "ExperimentConfig", "IIDProcess",
+    "IIDSource", "KrausChannel", "KrausReport", "MarkovProcess", "MeasureTable",
+    "MixtureProcess", "Operator", "PAULI_X", "PAULI_Y", "PAULI_Z", "PairReport",
+    "PinchingBasis", "PinchingPropertyReport", "QuantumSource", "RunReport",
+    "ShapeMismatchError", "SourceCheckReport", "SourceSweepReport", "amplitude_damping_channel",
+    "apply_channel", "apply_dual", "as_operator", "block_mean", "build_source",
+    "channel_transform_source", "channels", "check_classical_consistency", "check_consistency",
+    "check_measure_consistency", "check_stationarity", "classical", "classical_correlation",
+    "classical_correlation_sweep", "classify_process", "computational_alphabet",
+    "computational_basis", "conditional_expectation", "construct_classically_correlated",
+    "correlation_sequence", "dense_cap", "density_operator", "depolarizing_channel",
+    "diagonal_observable", "dual_channel", "embed_observable", "embedding_channel",
+    "emit_report", "ergodic_mean_test", "ergodicity", "errors", "expectation_table",
+    "fit_decay", "haar_unitary", "identity_channel", "identity_operator", "kraus_channel",
+    "make_standard_channel", "marginal_table", "measure_table", "measure_to_state", "operators",
+    "phase_damping_channel", "pinching", "pinching_channel", "projector_pairs",
+    "random_density", "random_observable", "random_pairs", "random_unitary_channel",
+    "run_config_file", "run_experiment", "runner", "source_block_mean", "source_correlation",
+    "source_measure_table", "sources", "state_to_measure", "stationary_distribution",
+    "strong_mixing_test", "sweep_report", "tensor_product", "trace_pairing", "unitary_channel",
+    "validate_alphabet", "validate_density", "validate_kraus", "verify_expectation_properties",
+    "weak_mixing_test", "word_probability", "word_projector",
+]
+
+
+def test_public_names_pinned():
+    assert sorted(ss.__all__) == PUBLIC_NAMES

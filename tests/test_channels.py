@@ -211,3 +211,19 @@ class TestDispatch:
     def test_unknown_parameter_named(self, name, params, key):
         with pytest.raises(ValueError, match=f"no parameter {key!r}"):
             ss.make_standard_channel(name, params)
+
+    @pytest.mark.parametrize(
+        "name, params, key",
+        [
+            ("depolarizing", {"p": True}, "p"),
+            ("depolarizing", {"p": "0.3"}, "p"),
+            ("random_unitary", {"seed": 2.7}, "seed"),
+            ("random_unitary", {"seed": True}, "seed"),
+            ("amplitude_damping", {"gamma": [0.2]}, "gamma"),
+        ],
+        ids=["p_true", "p_string", "seed_float", "seed_true", "gamma_list"],
+    )
+    def test_parameter_kind_named(self, name, params, key):
+        # the same kinds config loading checks: numbers for p, gamma and lam, an integer >= 0 for seed
+        with pytest.raises(ValueError, match=f"parameter {key!r} must be"):
+            ss.make_standard_channel(name, params)

@@ -78,6 +78,17 @@ class TestWordProbabilities:
         with pytest.raises(CapExceededError):
             ss.marginal_table(ss.IIDProcess([0.5, 0.5]), 25)
 
+    def test_word_cap_counts_hidden_states(self, monkeypatch):
+        # the table behind marginal_table holds 2**6 words by n hidden end states
+        monkeypatch.setattr(ss.classical, "WORD_ENUMERATION_CAP", 1000)
+
+        def mixture(n):
+            return ss.MixtureProcess(np.full(n, 1 / n), tuple(ss.IIDProcess([0.5, 0.5]) for _ in range(n)))
+
+        assert ss.marginal_table(mixture(15), 6).sum() == pytest.approx(1.0, abs=1e-12)  # 64 * 15 = 960
+        with pytest.raises(CapExceededError):
+            ss.marginal_table(mixture(16), 6)  # 64 * 16 = 1024
+
     def test_symbol_out_of_range(self):
         with pytest.raises(ValueError):
             ss.word_probability(ss.IIDProcess([0.5, 0.5]), (0, 2))

@@ -103,8 +103,12 @@ class TestDenseCap:
         assert err.value.cap == 4096
 
     def test_env_override(self, monkeypatch):
+        # checked at the cap itself, without allocating an 8192-row matrix
         monkeypatch.setenv("SPINSOURCE_DENSE_CAP", "8192")
-        assert ss.identity_operator(13).dim == 8192
+        assert ss.dense_cap() == 8192
+        ss.operators._check_cap(8192)
+        with pytest.raises(CapExceededError):
+            ss.operators._check_cap(8193)
 
     def test_env_restricts(self, monkeypatch):
         monkeypatch.setenv("SPINSOURCE_DENSE_CAP", "4")

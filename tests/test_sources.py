@@ -136,9 +136,14 @@ class TestFamilyChecks:
         )
         with pytest.raises(AlignmentError):
             ss.check_stationarity(blocked, 4)
-        assert ss.check_n_stationarity(blocked, 2, max_blocks=3).passed
-        report = ss.check_n_consistency(blocked, 2, max_blocks=3)
+        assert ss.check_stationarity(blocked, 6, block=2).passed
+        report = ss.check_consistency(blocked, 6, block=2)
         assert report.passed and report.mode == "block_consistency"
+
+    @pytest.mark.parametrize("max_sites, block", [(5, 2), (2, 2), (4, 0)])
+    def test_block_check_needs_whole_blocks(self, fleet, max_sites, block):
+        with pytest.raises(ValueError):
+            ss.check_consistency(fleet["iid"], max_sites, block=block)
 
 
 class TestCorrelations:
@@ -255,13 +260,28 @@ class TestCorrelations:
         assert built == []
 
     def test_transfer_caps_hidden_word_tables(self):
-        # 1001 hidden states: a two-site table over hidden words holds 1001**2 > 1e6 entries
-        mix = ss.MixtureProcess(np.full(1001, 1 / 1001), tuple(ss.IIDProcess([0.5, 0.5]) for _ in range(1001)))
+        # 1000 hidden states: the sweep's table over one-site hidden words and end states holds
+        # 1000**2 = 1e6 entries, at the cap; over two-site words it holds 1000**3
+        mix = ss.MixtureProcess(np.full(1000, 1 / 1000), tuple(ss.IIDProcess([0.5, 0.5]) for _ in range(1000)))
         src = ss.construct_classically_correlated(mix, ss.computational_alphabet(2))
         one, two = ss.random_observable(1, seed=77), ss.random_observable(2, seed=78)
         assert np.isclose(ss.source_correlation(src, one, one, [3])[0], ss.source_block_mean(src, one) ** 2)
         with pytest.raises(CapExceededError):
             ss.source_correlation(src, two, one, [0], "transfer")
+
+    def test_transfer_word_cap_counts_hidden_end_states(self, monkeypatch):
+        # two-site observables on n hidden states: the sweep's table holds n**2 words by n end states
+        monkeypatch.setattr(ss.classical, "WORD_ENUMERATION_CAP", 1000)
+        a = ss.random_observable(2, seed=80)
+
+        def source(n):
+            mix = ss.MixtureProcess(np.full(n, 1 / n), tuple(ss.IIDProcess([0.5, 0.5]) for _ in range(n)))
+            return ss.construct_classically_correlated(mix, ss.computational_alphabet(2))
+
+        ten = source(10)
+        assert np.isclose(ss.source_correlation(ten, a, a, [2])[0], ss.source_block_mean(ten, a) ** 2)
+        with pytest.raises(CapExceededError):
+            ss.source_correlation(source(11), a, a, [2], "transfer")
 
     @pytest.mark.parametrize(
         "process",

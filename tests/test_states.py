@@ -96,5 +96,5 @@ class TestChecksBuildOnce:
 
     def test_each_block_state_built_once(self):
         src = Counting(FLEET["mixture"])
-        ss.check_n_stationarity(src, block=2, max_blocks=3)
+        ss.check_stationarity(src, max_sites=6, block=2)
         assert sorted(src.built) == [2, 4, 6]
