@@ -39,7 +39,7 @@ def main():
     # zoom in on one pair: the deviation sequence is exactly geometric here
     src = fleet()["aperiodic"]
     p0 = ss.word_projector((0,))
-    report = ss.strong_mixing_test(src, p0, p0, n_max=48, backend="transfer")
+    report = ss.pair_report(src, p0, p0, n_max=48, backend="transfer").strong_mixing
     print("\naperiodic indicator pair, first deviations:")
     print(np.round(report.deviations[:6], 6))
     print("fitted decay rate:", round(report.decay.rate, 6), "(second eigenvalue is 0.7)")

@@ -8,6 +8,8 @@ conditional expectation onto a product basis, and a deterministic
 config-driven experiment runner.
 """
 
+import types as _types
+
 from ._version import __version__
 from .errors import (
     AlignmentError,
@@ -107,14 +109,11 @@ from .ergodicity import (
     ErgodicityReport,
     PairReport,
     SourceSweepReport,
-    correlation_sequence,
-    ergodic_mean_test,
     fit_decay,
+    pair_report,
     projector_pairs,
     random_pairs,
-    strong_mixing_test,
     sweep_report,
-    weak_mixing_test,
 )
 from .runner import (
     ExperimentConfig,
@@ -125,4 +124,9 @@ from .runner import (
     run_experiment,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public functions, classes and constants; submodules stay reachable as
+# attributes (ss.runner) but a star import binds none of them
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+]

@@ -5,19 +5,21 @@ For m-site observables a, b and a stationary source, write
     corr(i) = tr(rho_{m+i} (a (x) I^(x (i-m)) (x) b)),    i >= m,
     target  = tr(rho_m a) tr(rho_m b).
 
-Three convergence statements are probed over a finite horizon of n_max
-shifts:
+The unit is the observable pair: pair_report computes corr(i) once over
+a finite horizon of n_max shifts and judges three convergence statements
+on it,
 
 * ergodic mean:   (1/n) sum_i corr(i)            -> target,
 * weak mixing:    (1/n) sum_i |corr(i) - target| -> 0,
-* strong mixing:  corr(i)                        -> target.
+* strong mixing:  corr(i)                        -> target,
 
-Each test returns the full statistic sequence, its deviation sequence,
-and a three-way verdict (pass, fail, inconclusive).  A finite horizon
-cannot prove a limit, so the verdict is a trend heuristic: pass needs
-the final deviation under tolerance with a non-growing tail, fail needs
-a final deviation over tolerance that shows no clear improvement, and
-everything in between stays inconclusive.
+each as a report with the full statistic sequence, its deviation
+sequence, and a three-way verdict (pass, fail, inconclusive).
+sweep_report runs it over a family of pairs and keeps the worst verdict
+per test.  A finite horizon cannot prove a limit, so the verdict is a
+trend heuristic: pass needs the final deviation under tolerance with a
+non-growing tail, fail needs a final deviation over tolerance that shows
+no clear improvement, and everything in between stays inconclusive.
 """
 
 from __future__ import annotations
@@ -34,6 +36,15 @@ TRANSFER_TOL = 1e-2
 DENSE_TOL = 5e-2
 DECAY_FLOOR = 1e-13
 _ORDER = {"fail": 0, "inconclusive": 1, "pass": 2}
+
+
+def _backend_and_tol(source, backend: str, tol: float | None) -> tuple:
+    """(backend, tol) resolved; short dense horizons leave larger finite-size
+    remainders, hence the looser dense default."""
+    backend = _resolve_backend(source, backend)
+    if tol is None:
+        tol = TRANSFER_TOL if backend == "transfer" else DENSE_TOL
+    return backend, tol
 
 
 def _verdict(devs: np.ndarray, tol: float) -> str:
@@ -107,7 +118,6 @@ class ErgodicityReport:
     tol: float
     verdict: str
     decay: DecayFit | None = None
-    step: int = 1
 
     def __post_init__(self):
         for name in ("shifts", "statistics", "deviations"):
@@ -118,100 +128,6 @@ class ErgodicityReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-
-def correlation_sequence(
-    source, a: Operator, b: Operator, n_max: int, backend: str = "auto", step: int = 1
-) -> tuple:
-    """(shifts, corr) over shifts i = a.sites .. n_max (multiples of step).
-
-    For step 1 that is n_max - m + 1 correlation values, one per shift of
-    the second observable past the first.
-    """
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    m = a.sites
-    first = -(-m // step) * step  # the smallest multiple of step >= m
-    shifts = np.arange(first, n_max + 1, step)
-    if shifts.size < 4:
-        raise ValueError(
-            f"horizon n_max={n_max} leaves {shifts.size} usable shifts, need >= 4"
-        )
-    corr = source_correlation(source, a, b, shifts - m, backend)
-    return shifts, corr
-
-
-def _pair_target(source, a: Operator, b: Operator) -> complex:
-    return complex(source_block_mean(source, a) * source_block_mean(source, b))
-
-
-def _ergodic_from_sequence(n_max, target, shifts, corr, tol, step) -> ErgodicityReport:
-    means = np.cumsum(corr) / np.arange(1, shifts.size + 1)
-    devs = np.abs(means - target)
-    return ErgodicityReport(
-        "ergodic_mean", n_max, target, shifts, means, devs, float(devs[-1]),
-        tol, _verdict(devs, tol), None, step,
-    )
-
-
-def _weak_from_sequence(n_max, target, shifts, corr, tol) -> ErgodicityReport:
-    means = np.cumsum(np.abs(corr - target)) / np.arange(1, shifts.size + 1)
-    return ErgodicityReport(
-        "weak_mixing", n_max, target, shifts, means, means, float(means[-1]),
-        tol, _verdict(means, tol),
-    )
-
-
-def _strong_from_sequence(n_max, target, shifts, corr, tol) -> ErgodicityReport:
-    devs = np.abs(corr - target)
-    return ErgodicityReport(
-        "strong_mixing", n_max, target, shifts, corr, devs, float(devs[-1]),
-        tol, _verdict(devs, tol), fit_decay(devs),
-    )
-
-
-def ergodic_mean_test(
-    source,
-    a: Operator,
-    b: Operator,
-    n_max: int = DEFAULT_N_MAX,
-    backend: str = "auto",
-    tol: float = TRANSFER_TOL,
-    step: int = 1,
-) -> ErgodicityReport:
-    """Does (1/n) sum corr(i) approach tr(rho a) tr(rho b)?
-
-    step > 1 averages over shift multiples of step only (the blocked
-    variant of the mean).
-    """
-    shifts, corr = correlation_sequence(source, a, b, n_max, backend, step)
-    return _ergodic_from_sequence(n_max, _pair_target(source, a, b), shifts, corr, tol, step)
-
-
-def weak_mixing_test(
-    source,
-    a: Operator,
-    b: Operator,
-    n_max: int = DEFAULT_N_MAX,
-    backend: str = "auto",
-    tol: float = TRANSFER_TOL,
-) -> ErgodicityReport:
-    """Does (1/n) sum |corr(i) - target| approach zero?"""
-    shifts, corr = correlation_sequence(source, a, b, n_max, backend)
-    return _weak_from_sequence(n_max, _pair_target(source, a, b), shifts, corr, tol)
-
-
-def strong_mixing_test(
-    source,
-    a: Operator,
-    b: Operator,
-    n_max: int = DEFAULT_N_MAX,
-    backend: str = "auto",
-    tol: float = TRANSFER_TOL,
-) -> ErgodicityReport:
-    """Does corr(i) itself approach the target?  Includes a decay fit."""
-    shifts, corr = correlation_sequence(source, a, b, n_max, backend)
-    return _strong_from_sequence(n_max, _pair_target(source, a, b), shifts, corr, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +155,49 @@ class PairReport:
     @property
     def reports(self) -> tuple:
         return (self.ergodic_mean, self.weak_mixing, self.strong_mixing)
+
+
+def pair_report(
+    source,
+    a: Operator,
+    b: Operator,
+    n_max: int = DEFAULT_N_MAX,
+    backend: str = "auto",
+    tol: float | None = None,
+    label: str = "",
+) -> PairReport:
+    """The three tests for one pair, from one correlation sequence.
+
+    corr(i) runs over shifts i = a.sites .. n_max, one value per shift of
+    b past a.  tol defaults to 1e-2 on the transfer route and 5e-2 on the
+    dense route.
+    """
+    backend, tol = _backend_and_tol(source, backend, tol)
+    shifts = np.arange(a.sites, n_max + 1)
+    if shifts.size < 4:
+        raise ValueError(
+            f"horizon n_max={n_max} leaves {shifts.size} usable shifts, need >= 4"
+        )
+    corr = source_correlation(source, a, b, shifts - a.sites, backend)
+    target = complex(source_block_mean(source, a) * source_block_mean(source, b))
+    counts = np.arange(1, shifts.size + 1)
+    means = np.cumsum(corr) / counts
+    devs = np.abs(means - target)
+    strong = np.abs(corr - target)
+    weak = np.cumsum(strong) / counts
+
+    def report(test, statistics, deviations, decay=None):
+        return ErgodicityReport(
+            test, n_max, target, shifts, statistics, deviations,
+            float(deviations[-1]), tol, _verdict(deviations, tol), decay,
+        )
+
+    return PairReport(
+        label,
+        report("ergodic_mean", means, devs),
+        report("weak_mixing", weak, weak),
+        report("strong_mixing", corr, strong, fit_decay(strong)),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,30 +278,16 @@ def sweep_report(
     seed: int = 0,
     extra_pairs: list | None = None,
 ) -> SourceSweepReport:
-    """Run all three tests over projector pairs plus seeded random pairs.
-
-    tol defaults to 1e-2 on the transfer route and 5e-2 on the dense
-    route (short dense horizons leave larger finite-size remainders).
-    """
-    backend = _resolve_backend(source, backend)
-    if tol is None:
-        tol = TRANSFER_TOL if backend == "transfer" else DENSE_TOL
+    """pair_report over projector pairs plus seeded random pairs, with the
+    same backend and tolerance defaults."""
+    backend, tol = _backend_and_tol(source, backend, tol)
     pairs = projector_pairs(source.site_dim, block_sites)
     pairs += random_pairs(source.site_dim, block_sites, random_pair_count, seed)
     if extra_pairs:
         pairs += list(extra_pairs)
-    pair_reports = []
-    for label, a, b in pairs:
-        shifts, corr = correlation_sequence(source, a, b, n_max, backend)
-        target = _pair_target(source, a, b)
-        pair_reports.append(
-            PairReport(
-                label,
-                _ergodic_from_sequence(n_max, target, shifts, corr, tol, 1),
-                _weak_from_sequence(n_max, target, shifts, corr, tol),
-                _strong_from_sequence(n_max, target, shifts, corr, tol),
-            )
-        )
+    pair_reports = [
+        pair_report(source, a, b, n_max, backend, tol, label) for label, a, b in pairs
+    ]
     worst = [
         min((p.verdicts[t] for p in pair_reports), key=_ORDER.__getitem__)
         for t in range(3)

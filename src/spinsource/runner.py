@@ -23,7 +23,8 @@ Config schema (JSON object; defaults in parentheses):
     tests             "all" | list from {consistency, stationarity,
                       ergodic_mean, weak_mixing, strong_mixing} ("all")
     block_sites       observable block length m (1)
-    n_max             largest shift index (2000)
+    n_max             largest shift index (2000); >= 8, and >= block_sites + 3
+                      when a mixing test is selected
     observable_count  random observable pairs in the sweep (2)
     backend           auto | dense | transfer ("auto")
     tolerance         verdict tolerance override (backend default)
@@ -272,6 +273,12 @@ class ExperimentConfig:
             check_sites=_int("check_sites", 4, 2),
             output_dir=output_dir,
         )
+        shifts = config.n_max - config.block_sites + 1
+        if shifts < 4 and any(t in _MIXING for t in tests):
+            raise ConfigError(
+                f"n_max={config.n_max} leaves {shifts} shifts for "
+                f"block_sites={config.block_sites}; the mixing tests need >= 4", "n_max",
+            )
         # dry build so malformed matrices and specs fail at load time
         build_source(config)
         return config

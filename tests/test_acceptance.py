@@ -167,16 +167,16 @@ def test_criterion_6_channel_invariance(fleet):
 def test_criterion_7_decay_rate(fleet):
     t0 = time.perf_counter()
     indicator = ss.word_projector((0,))
-    plain = ss.strong_mixing_test(
+    plain = ss.pair_report(
         fleet["aperiodic"], indicator, indicator, n_max=60, backend="transfer"
-    )
-    transformed = ss.strong_mixing_test(
+    ).strong_mixing
+    transformed = ss.pair_report(
         ss.channel_transform_source(fleet["aperiodic"], ss.depolarizing_channel(0.3)),
         indicator,
         indicator,
         n_max=60,
         backend="transfer",
-    )
+    ).strong_mixing
     ok = True
     for report in (plain, transformed):
         if report.decay is None or abs(report.decay.rate - 0.7) > 0.05 * 0.7:

@@ -36,9 +36,9 @@ class TestFrozenSequences:
     def test_aperiodic_strong_deviations(self, fleet, indicator):
         # single-site mean of |0><0| over the {|0>, |+>} alphabet is 5/6;
         # dev(i) = 0.7**i / 18 on the [[0.9, 0.1], [0.2, 0.8]] chain
-        report = ss.strong_mixing_test(
+        report = ss.pair_report(
             fleet["aperiodic"], indicator, indicator, n_max=40, backend="transfer"
-        )
+        ).strong_mixing
         expected = 0.7 ** report.shifts.astype(float) / 18
         assert np.max(np.abs(report.deviations - expected)) <= 1e-12
         assert report.target == pytest.approx(25 / 36)
@@ -49,80 +49,83 @@ class TestFrozenSequences:
         src = ss.ClassicallyCorrelatedSource(
             processes["aperiodic"], ss.computational_alphabet(2)
         )
-        report = ss.strong_mixing_test(src, indicator, indicator, n_max=40, backend="transfer")
+        report = ss.pair_report(
+            src, indicator, indicator, n_max=40, backend="transfer"
+        ).strong_mixing
         expected = (2 / 9) * 0.7 ** report.shifts.astype(float)
         assert np.max(np.abs(report.deviations - expected)) <= 1e-12
         assert report.target == pytest.approx(4 / 9)
 
     def test_period2_strong_constant(self, processes, indicator):
         src = ss.ClassicallyCorrelatedSource(processes["period2"], ss.computational_alphabet(2))
-        report = ss.strong_mixing_test(src, indicator, indicator, n_max=200, backend="transfer")
+        report = ss.pair_report(
+            src, indicator, indicator, n_max=200, backend="transfer"
+        ).strong_mixing
         # corr alternates 0 / 0.5 around target 0.25
         assert np.allclose(report.deviations, 0.25, atol=1e-14)
         assert report.verdict == "fail"
 
     def test_period2_weak_fails_ergodic_passes(self, processes, indicator):
         src = ss.ClassicallyCorrelatedSource(processes["period2"], ss.computational_alphabet(2))
-        weak = ss.weak_mixing_test(src, indicator, indicator, n_max=2000, backend="transfer")
+        weak = ss.pair_report(
+            src, indicator, indicator, n_max=2000, backend="transfer"
+        ).weak_mixing
         assert weak.verdict == "fail"
         assert weak.final_deviation == pytest.approx(0.25, abs=1e-3)
-        erg = ss.ergodic_mean_test(src, indicator, indicator, n_max=2000, backend="transfer")
+        erg = ss.pair_report(
+            src, indicator, indicator, n_max=2000, backend="transfer"
+        ).ergodic_mean
         assert erg.verdict == "pass"
 
     def test_mixture_ergodic_mean_fails_at_offset(self, processes, indicator):
         src = ss.ClassicallyCorrelatedSource(processes["mixture"], ss.computational_alphabet(2))
-        report = ss.ergodic_mean_test(src, indicator, indicator, n_max=2000, backend="transfer")
+        report = ss.pair_report(
+            src, indicator, indicator, n_max=2000, backend="transfer"
+        ).ergodic_mean
         # corr is the constant 0.41 while the squared mean is 0.25
         assert report.verdict == "fail"
         assert report.final_deviation == pytest.approx(0.16, abs=1e-12)
 
     def test_iid_deviations_identically_zero(self, fleet, indicator):
-        report = ss.strong_mixing_test(
+        report = ss.pair_report(
             fleet["iid"], indicator, indicator, n_max=50, backend="transfer"
-        )
+        ).strong_mixing
         assert np.max(report.deviations) == 0.0
 
     def test_shift_axis_contract(self, fleet, indicator):
-        report = ss.strong_mixing_test(
+        report = ss.pair_report(
             fleet["aperiodic"], indicator, indicator, n_max=30, backend="transfer"
-        )
+        ).strong_mixing
         assert report.shifts[0] == 1 and report.shifts[-1] == 30
         assert len(report.shifts) == 30
 
     def test_two_site_observables_start_at_m(self, fleet):
         a = ss.random_observable(2, seed=90)
-        report = ss.strong_mixing_test(fleet["aperiodic"], a, a, n_max=12, backend="transfer")
+        report = ss.pair_report(
+            fleet["aperiodic"], a, a, n_max=12, backend="transfer"
+        ).strong_mixing
         assert report.shifts[0] == 2
         assert len(report.shifts) == 11
 
-    def test_step_subsampling_misses_period2(self, processes, indicator):
-        # sampling only even shifts sees the constant 0.5 branch: the ergodic
-        # mean then converges to the wrong value and the test fails
-        src = ss.ClassicallyCorrelatedSource(processes["period2"], ss.computational_alphabet(2))
-        erg = ss.ergodic_mean_test(
-            src, indicator, indicator, n_max=400, backend="transfer", step=2
-        )
-        assert erg.verdict == "fail"
-
     def test_dense_backend_agrees_on_short_runs(self, fleet, indicator):
-        dense = ss.strong_mixing_test(
+        dense = ss.pair_report(
             fleet["aperiodic"], indicator, indicator, n_max=9, backend="dense"
-        )
-        transfer = ss.strong_mixing_test(
+        ).strong_mixing
+        transfer = ss.pair_report(
             fleet["aperiodic"], indicator, indicator, n_max=9, backend="transfer"
-        )
+        ).strong_mixing
         assert np.max(np.abs(dense.statistics - transfer.statistics)) <= 1e-12
 
     def test_n_max_too_small(self, fleet, indicator):
         with pytest.raises(ValueError):
-            ss.strong_mixing_test(fleet["iid"], indicator, indicator, n_max=3)
+            ss.pair_report(fleet["iid"], indicator, indicator, n_max=3).strong_mixing
 
 
 class TestDecayFit:
     def test_aperiodic_rate(self, fleet, indicator):
-        report = ss.strong_mixing_test(
+        report = ss.pair_report(
             fleet["aperiodic"], indicator, indicator, n_max=40, backend="transfer"
-        )
+        ).strong_mixing
         assert report.decay is not None
         assert report.decay.rate == pytest.approx(0.7, rel=1e-6)
 
@@ -175,6 +178,24 @@ class TestPairBuilders:
         a = ss.random_pairs(2, 1, 1, seed=1)[0][1]
         b = ss.random_pairs(2, 1, 1, seed=2)[0][1]
         assert not np.allclose(a.entries, b.entries)
+
+
+class TestPairReport:
+    @pytest.mark.parametrize("backend, tol", [("transfer", 1e-2), ("dense", 5e-2)])
+    def test_sweep_pair_is_pair_report(self, fleet, indicator, backend, tol):
+        src = fleet["aperiodic"]
+        swept = ss.sweep_report(src, n_max=9, backend=backend, seed=5).pairs[0]
+        alone = ss.pair_report(
+            src, indicator, indicator, n_max=9, backend=backend, label="proj_0"
+        )
+        assert alone.label == swept.label == "proj_0"
+        for mine, theirs in zip(alone.reports, swept.reports):
+            assert mine.tol == tol
+            assert mine.statistics.tobytes() == theirs.statistics.tobytes()
+            assert mine.deviations.tobytes() == theirs.deviations.tobytes()
+            assert mine.final_deviation == theirs.final_deviation
+            assert mine.verdict == theirs.verdict
+            assert mine.decay == theirs.decay
 
 
 class TestSweep:

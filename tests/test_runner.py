@@ -128,6 +128,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="n_max"):
             iid_config(n_max=4)
 
+    def test_horizon_needs_four_shifts_only_for_mixing_tests(self):
+        report = run_experiment(iid_config(block_sites=5, n_max=8, tests=["strong"]))
+        assert len(report.sweep.pairs[0].strong_mixing.shifts) == 4
+        assert iid_config(block_sites=6, n_max=8, tests=["consistency"]).n_max == 8
+
     def test_tolerance_range(self):
         with pytest.raises(ConfigError, match="tolerance"):
             iid_config(tolerance=0.0)
@@ -411,6 +416,18 @@ class TestCLI:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "cli_bad_override.report.json").exists()
+
+    @pytest.mark.parametrize("n_max, override", [(8, []), (100, ["--n-max", "8"])])
+    def test_short_horizon_is_config_error(self, tmp_path, capsys, n_max, override):
+        # block_sites 6 leaves shifts 6..8: three, one short of a verdict
+        path = self.write_config(
+            tmp_path, name="short", source={"kind": "iid", "state": [[0.5, 0], [0, 0.5]]},
+            block_sites=6, n_max=n_max, tests=["strong"],
+        )
+        code = cli.main([str(path), "--output-dir", str(tmp_path), *override])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "n_max" in err and "block_sites=6" in err and "Traceback" not in err
 
     def test_parallel_jobs_byte_identical(self, tmp_path):
         p1 = self.write_config(tmp_path, name="par_a")
@@ -741,6 +758,6 @@ class TestLoadBoundaryFuzz:
                 except Exception as exc:  # collected so one run names every bad node
                     escaped.append(f"{where} = {value!r}: {type(exc).__name__}: {exc}")
                     continue
-                if isinstance(value, bool) and ss.runner._is_number(original):
+                if isinstance(value, bool) and ss.runner._is_real(original):
                     escaped.append(f"{where} = {value!r} loaded where a number was expected")
         assert not escaped, "\n".join(escaped)

@@ -74,10 +74,10 @@ def test_missing_file_and_csv_rows_mismatch(tmp_path):
     assert "only in A" in result.stdout and "run.decay.csv rows" in result.stdout
 
 
-def _bench_pairs():
+def _load_tool(name: str):
     import importlib.util
 
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -87,7 +87,7 @@ PARENT_WALL = [0.23, 0.22, 0.24, 0.23, 0.25, 0.22, 0.23, 0.24, 0.23, 0.22]
 
 
 def test_claim_holds_for_a_clear_gain():
-    verdict = _bench_pairs().judge_pairs(PARENT_WALL, [p / 2 for p in PARENT_WALL], "lower")
+    verdict = _load_tool("bench_pairs").judge_pairs(PARENT_WALL, [p / 2 for p in PARENT_WALL], "lower")
     assert verdict["wins"] == 10 and verdict["claim_holds"]
     assert verdict["parent"] == pytest.approx((0.2225, 0.23, 0.2375))
     assert verdict["parent_iqr"] == pytest.approx(0.015)
@@ -103,14 +103,52 @@ def test_claim_holds_for_a_clear_gain():
     ],
 )
 def test_claim_rule_edges(change, why):
-    verdict = _bench_pairs().judge_pairs(PARENT_WALL[: len(change)], change, "lower")
+    verdict = _load_tool("bench_pairs").judge_pairs(PARENT_WALL[: len(change)], change, "lower")
     assert verdict["claim_holds"] == (why == "wins")
 
 
 def test_higher_is_better_and_ties_are_no_win():
-    bench = _bench_pairs()
+    bench = _load_tool("bench_pairs")
     verdict = bench.judge_pairs([1.0] * 10, [2.0] * 9 + [1.0], "higher")
     assert verdict["wins"] == 9 and verdict["claim_holds"]
     assert not bench.judge_pairs([1.0] * 10, [2.0] * 10, "lower")["claim_holds"]
     with pytest.raises(ValueError):
         bench.judge_pairs([1.0], [1.0, 2.0], "lower")
+
+
+STUB_WORKLOADS = '''
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Case:
+    config: dict
+
+
+def generate(workload, seed):
+    return [Case({"name": f"{workload}_{seed}", "seed": seed, "n_max": 12, "observable_count": 1,
+                  "source": {"kind": "iid", "state": [[0.6, 0.1], [0.1, 0.4]]}})]
+'''
+
+
+def test_regen_reports_is_reproducible(tmp_path):
+    root = tmp_path / "root"
+    (root / "perfbench").mkdir(parents=True)
+    (root / "demos" / "configs").mkdir(parents=True)
+    (root / "src").symlink_to(ROOT / "src")
+    (root / "perfbench" / "workloads.py").write_text(STUB_WORKLOADS)
+    (root / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "tiny"}]}))
+    demo = {"name": "demo", "seed": 1, "n_max": 10, "source": {"kind": "iid", "state": [[1, 0], [0, 0]]}}
+    (root / "demos" / "configs" / "demo.json").write_text(json.dumps(demo))
+    regen = _load_tool("regen_reports")
+    for out in ("a", "b"):
+        assert regen.main(["--root", str(root), "--out", str(tmp_path / out), "--seeds", "0"]) == 0
+    files = sorted(p.relative_to(tmp_path / "a").as_posix() for p in (tmp_path / "a").rglob("*.*"))
+    assert files == [
+        "demos/demo.decay.csv", "demos/demo.report.json",
+        "tiny-0/tiny_0.decay.csv", "tiny-0/tiny_0.report.json",
+    ]
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # a second run into a filled directory would hide files the tree no longer writes
+    assert regen.main(["--root", str(root), "--out", str(tmp_path / "a")]) == 2
