@@ -389,8 +389,11 @@ def classical_correlation_sweep(process: ClassicalProcess, f_table, g_table, gap
     value is u T^(gap+1) h through the hidden chain, where u carries the
     first block into its last hidden state and h folds the second block
     back to its first, so cost grows linearly in the largest gap and never
-    enumerates long words.  Propagation stops once a step leaves u T^j
-    bitwise unchanged: every later gap has exactly that value.
+    enumerates long words.  A settled or periodic tail is filled exactly:
+    every 64 steps u T^j is kept as a mark, and when one of the next n
+    steps (n hidden states) reproduces the mark bitwise after q steps, the
+    deterministic step repeats the same q vectors for ever, so each later
+    gap takes the value its step had within that cycle.
     """
     gaps = _gap_array(gaps)
     k = process.alphabet_size
@@ -398,21 +401,30 @@ def classical_correlation_sweep(process: ClassicalProcess, f_table, g_table, gap
     g = _as_block_table(g_table, k, "second block function")
     chain = process.chain
     p, e = chain.transition.astype(complex), chain.emission
-    u = (_hidden_table(chain, f.ndim) * f[..., None]).reshape(-1, p.shape[0]).sum(axis=0)
+    n = p.shape[0]
+    u = (_hidden_table(chain, f.ndim) * f[..., None]).reshape(-1, n).sum(axis=0)
     h = np.einsum("...z,hz->...h", g, e)
     for _ in range(g.ndim - 1):
         h = np.einsum("...zh,hz->...h", h @ p.T, e)
     out = np.empty(gaps.size, dtype=complex)
     order = np.argsort(gaps, kind="stable")
     v, step = u, -1  # v = u T^(step+1)
+    mark, mark_step = None, 0
     for pos, (idx, gap) in enumerate(zip(order.tolist(), gaps[order].tolist())):
         while step < gap:
-            nxt = v @ p
+            v = v @ p
             step += 1
-            if step % _SETTLE_CHECK == 0 and np.array_equal(nxt, v):
-                out[order[pos:]] = nxt @ h
+            if step % _SETTLE_CHECK == 0:
+                mark, mark_step = v, step
+            elif step - mark_step <= n and np.array_equal(v, mark):
+                q = step - mark_step
+                cycle = np.empty(q, dtype=complex)
+                for j in range(q):
+                    cycle[j] = mark @ h
+                    mark = mark @ p
+                rest = order[pos:]
+                out[rest] = cycle[(gaps[rest] - mark_step) % q]
                 return out
-            v = nxt
         out[idx] = v @ h
     return out
 

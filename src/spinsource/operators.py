@@ -35,14 +35,22 @@ def dense_cap() -> int:
     return int(os.environ.get(DENSE_CAP_ENV, DEFAULT_DENSE_CAP))
 
 
-def _check_cap(dim: int) -> None:
+def _check_cap(dim: int, sites: int = 1) -> None:
+    """The dense matrix side dim**sites fits the cap.
+
+    With sites > 1, dim is a site dimension (>= 2), so a site count past the
+    cap's bit length fails without computing the power, which a long
+    horizon makes huge.
+    """
     cap = dense_cap()
-    if dim > cap:
-        raise CapExceededError(
-            f"dense matrix side {dim} exceeds cap {cap} "
-            f"(override with {DENSE_CAP_ENV})",
-            cap=cap,
-        )
+    short = sites <= cap.bit_length()
+    if short and dim**sites <= cap:
+        return
+    side = dim**sites if short else f"{dim}**{sites}"
+    raise CapExceededError(
+        f"dense matrix side {side} exceeds cap {cap} (override with {DENSE_CAP_ENV})",
+        cap=cap,
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,7 +61,7 @@ from .classical import (
     classify_process,
 )
 from .errors import ConfigError
-from .operators import as_operator
+from .operators import _check_cap, as_operator
 from .sources import (
     AlphabetSpec,
     ChannelTransformedSource,
@@ -74,6 +74,7 @@ from .ergodicity import SourceSweepReport, sweep_report
 
 TEST_NAMES = ("consistency", "stationarity", "ergodic_mean", "weak_mixing", "strong_mixing")
 _ALIASES = {"ergodic": "ergodic_mean", "weak": "weak_mixing", "strong": "strong_mixing"}
+_CHECKS = ("consistency", "stationarity")
 _MIXING = ("ergodic_mean", "weak_mixing", "strong_mixing")
 _SOURCE_KEYS = {"iid": ("state",), "classically_correlated": ("process", "alphabet")}
 _PROCESS_KEYS = {
@@ -281,6 +282,14 @@ class ExperimentConfig:
             )
         # dry build so malformed matrices and specs fail at load time
         build_source(config)
+        # the dense sides are known now, so a cap fails before any work: the
+        # checks are dense on every backend, the sweep on "dense" only (a
+        # runner-built source carries a chain, so "auto" runs on transfer)
+        if any(t in _CHECKS for t in tests):
+            _check_cap(config.site_dim, _check_sites(config)[1])
+        if backend == "dense" and any(t in _MIXING for t in tests):
+            # a (x) I^gap (x) b at the largest gap, n_max - block_sites, as source_correlation checks it
+            _check_cap(config.site_dim, config.n_max + config.block_sites)
         return config
 
     @classmethod
@@ -311,6 +320,13 @@ class ExperimentConfig:
         if self.tolerance is not None:
             out["tolerance"] = self.tolerance
         return out
+
+
+def _check_sites(config: ExperimentConfig) -> tuple:
+    """(block, max_sites) of the consistency and stationarity checks: whole
+    channel blocks, at least two of them."""
+    block = (config.channel_spec or {}).get("block_sites", 1)
+    return block, max(2, config.check_sites // block) * block
 
 
 def build_source(config: ExperimentConfig):
@@ -466,8 +482,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
     source, process = build_source(config)
     checks = {}
-    block = (config.channel_spec or {}).get("block_sites", 1)
-    max_sites = max(2, config.check_sites // block) * block
+    block, max_sites = _check_sites(config)
     if "consistency" in config.tests:
         checks["consistency"] = check_consistency(source, max_sites, block)
     if "stationarity" in config.tests:
@@ -534,15 +549,26 @@ def _csv_field(value) -> str:
 def _float_strings(column) -> list:
     """repr of each float64 in column, formatting each distinct bit pattern once.
 
-    Swept columns repeat heavily once a chain settles, and target and iid
-    columns are constant.  Keying on the bits keeps -0.0 apart from 0.0 and
-    NaN payloads exact.  A dict needs no sort: the first call into numpy's
-    sort kernels (np.unique) raises the peak RSS of a run with small CSVs.
+    Swept columns repeat heavily once a chain settles or cycles, and target
+    and iid columns are constant.  Runs of bitwise-equal neighbours collapse
+    to their heads in numpy; the heads are formatted through a dict keyed on
+    the bits, and each row looks up its run's string by an index that
+    np.repeat expands.  Keying on the bits keeps -0.0 apart from 0.0 and NaN
+    payloads exact.  A dict needs no sort, and the strings stay in a list:
+    the first call into numpy's sort kernels (np.unique), and an object
+    array of the strings expanded by np.repeat, each raise the peak RSS of
+    a run with small CSVs.
     """
     column = np.ascontiguousarray(column, dtype=np.float64)
-    bits = column.view(np.uint64).tolist()
-    text = {b: repr(x) for b, x in dict(zip(bits, column.tolist())).items()}
-    return list(map(text.__getitem__, bits))
+    bits = column.view(np.uint64)
+    heads = np.ones(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=heads[1:])
+    starts = np.flatnonzero(heads)
+    head_bits = bits[starts].tolist()
+    text = {b: repr(x) for b, x in dict(zip(head_bits, column[starts].tolist())).items()}
+    strings = list(map(text.__getitem__, head_bits))
+    runs = np.repeat(np.arange(starts.size), np.diff(starts, append=bits.size))
+    return list(map(strings.__getitem__, runs.tolist()))
 
 
 def _decay_lines(pair) -> str:

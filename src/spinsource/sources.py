@@ -104,7 +104,7 @@ def _chain_blocks(chain: EmissionChain, sites: int) -> list:
 def _density(source, sites: int) -> Operator:
     """rho_m of a library source, built on the first call for m and kept with the source.
     The cap is checked on every call; a build that raises keeps nothing."""
-    _check_cap(source.site_dim ** index(sites))  # a site count below 1 fails in Operator, after no work
+    _check_cap(source.site_dim, index(sites))  # a site count below 1 fails in Operator, after no work
     built = source.__dict__.setdefault("_densities", {})
     if sites not in built:
         built[sites] = _build_density(source, sites)
@@ -289,7 +289,7 @@ def source_correlation(
         raise ShapeMismatchError("observable site dim does not match source")
     if _resolve_backend(source, backend) == "dense":
         if gaps.size:
-            _check_cap(source.site_dim ** (a.sites + int(gaps.max()) + b.sites))
+            _check_cap(source.site_dim, a.sites + int(gaps.max()) + b.sites)
         out = np.empty(gaps.size, dtype=complex)
         for idx, gap in enumerate(gaps.tolist()):
             rho = source.density(a.sites + gap + b.sites)
@@ -343,7 +343,7 @@ def _reduction_check(source: QuantumSource, max_sites: int, mode: str, block: in
     if max_sites < 2 * block or max_sites % block:
         raise ValueError(f"max_sites must be a multiple of {block} and at least {2 * block}, got {max_sites}")
     d = source.site_dim
-    _check_cap(d**max_sites)
+    _check_cap(d, max_sites)
     states = {m: source.density(m).entries for m in range(block, max_sites + 1, block)}
     worst = 0.0
     worst_pair = (block, block)

@@ -360,6 +360,79 @@ class TestEarlyExit:
             assert other.tobytes() == first.tobytes()
 
 
+def _stepped_sweep(process, f, g, gaps):
+    """Reference for classical_correlation_sweep: u T^(gap+1) h with one step per gap, no fill."""
+    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+    chain = process.chain
+    p, e = chain.transition.astype(complex), chain.emission
+    n = p.shape[0]
+    u = (ss.classical._hidden_table(chain, f.ndim) * f[..., None]).reshape(-1, n).sum(axis=0)
+    h = np.einsum("...z,hz->...h", g, e)
+    for _ in range(g.ndim - 1):
+        h = np.einsum("...zh,hz->...h", h @ p.T, e)
+    values = []
+    v = u
+    for _ in range(max(gaps, default=-1) + 1):
+        v = v @ p
+        values.append(v @ h)
+    return np.array([values[gap] for gap in gaps], dtype=complex)
+
+
+def _cycle(n):
+    return np.roll(np.eye(n), 1, axis=1)
+
+
+CYCLE_FILL_PROCESSES = {
+    "period2": ss.MarkovProcess(PERIOD2_T),
+    "period3": ss.MarkovProcess(_cycle(3)),
+    "period4": ss.MarkovProcess(_cycle(4)),
+    # weighted period 2 between {0, 1} and {2, 3}: only roundoff can make its tail exactly periodic
+    "bipartite": ss.MarkovProcess(
+        [[0, 0, 0.3, 0.7], [0, 0, 0.6, 0.4], [0.5, 0.5, 0, 0], [0.2, 0.8, 0, 0]]
+    ),
+    # state 2 is transient and drains into the period-2 class {0, 1}, reaching it exactly after underflow
+    "reducible": ss.MarkovProcess([[0, 1, 0], [1, 0, 0], [0.5, 0, 0.5]], [0.2, 0.3, 0.5]),
+    "aperiodic": ss.MarkovProcess(APERIODIC_T),
+    "iid_mixture": ss.MixtureProcess(
+        [0.3, 0.7], (ss.IIDProcess([0.9, 0.1]), ss.IIDProcess([0.2, 0.8]))
+    ),
+}
+_SHUFFLED = np.random.default_rng(17).integers(0, 700, size=400).tolist()
+CYCLE_FILL_GAPS = {
+    "sorted": list(range(700)),
+    "reversed": list(range(700))[::-1],
+    "shuffled_repeats": _SHUFFLED + _SHUFFLED[:50],
+    "before_first_match": [1, 0],
+    "zero_only": [0],
+    "one_long": [20000],
+    "empty": [],
+}
+
+
+class TestCycleFill:
+    """Settled and periodic tails are filled with the bits plain stepping gives."""
+
+    @pytest.mark.parametrize("gaps", CYCLE_FILL_GAPS.values(), ids=CYCLE_FILL_GAPS.keys())
+    @pytest.mark.parametrize(
+        "process", CYCLE_FILL_PROCESSES.values(), ids=CYCLE_FILL_PROCESSES.keys()
+    )
+    def test_fill_equals_stepping_bitwise(self, process, gaps):
+        k = process.alphabet_size
+        rng = np.random.default_rng(k)
+        f = rng.normal(size=k) + 1j * rng.normal(size=k)
+        g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        out = ss.classical_correlation_sweep(process, f, g, gaps)
+        reference = _stepped_sweep(process, f, g, gaps)
+        assert np.array_equal(out, reference)
+        assert out.tobytes() == reference.tobytes()
+
+    def test_period_two_alternates_forever(self):
+        process = CYCLE_FILL_PROCESSES["period2"]
+        gaps = [20000, 19999, 0, 1, 12345]
+        out = ss.classical_correlation_sweep(process, [1.0, 0.0], [1.0, 0.0], gaps)
+        assert out.tolist() == [0.0, 0.5, 0.0, 0.5, 0.5]
+
+
 class TestProcessValidation:
     def test_bad_probs(self):
         with pytest.raises(ValueError):

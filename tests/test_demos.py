@@ -1,4 +1,4 @@
-"""Every demo script runs from a foreign directory, and the committed report pair reproduces."""
+"""Every demo script runs from a foreign directory, and the committed report pairs reproduce."""
 
 import csv
 import json
@@ -49,13 +49,13 @@ def _outcomes(payload):
     return payload["passed"], payload["failures"], sweep["verdicts"], pairs, checks
 
 
-def test_committed_report_pair_reproduces(tmp_path):
-    """demos/reports holds what the runner writes for markov_aperiodic.json today."""
+def _check_committed_pair(name, tmp_path):
+    """demos/reports/NAME.* is what the runner writes for demos/configs/NAME.json today."""
     committed = ROOT / "demos" / "reports"
-    config = ROOT / "demos" / "configs" / "markov_aperiodic.json"
+    config = ROOT / "demos" / "configs" / f"{name}.json"
     _, (json_path, csv_path) = run_config_file(config, {"output_dir": str(tmp_path)})
 
-    old_csv = (committed / "markov_aperiodic.decay.csv").read_bytes()
+    old_csv = (committed / f"{name}.decay.csv").read_bytes()
     assert old_csv.count(b"\n") == old_csv.count(b"\r\n") > 1
     old_rows, new_rows = _csv_rows(committed / csv_path.name), _csv_rows(csv_path)
     assert old_rows[0] == new_rows[0] == list(CSV_HEADER)
@@ -69,3 +69,12 @@ def test_committed_report_pair_reproduces(tmp_path):
     new_payload = json.loads(json_path.read_text())
     assert _outcomes(new_payload) == _outcomes(old_payload)
     assert new_payload["config"] == old_payload["config"]
+
+
+def test_committed_report_pair_reproduces(tmp_path):
+    _check_committed_pair("markov_aperiodic", tmp_path)
+
+
+def test_committed_period2_pair_reproduces(tmp_path):
+    """The period-2 chain never settles, so its sweep goes through the cycle fill."""
+    _check_committed_pair("markov_period2", tmp_path)

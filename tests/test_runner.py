@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinsource as ss
 from spinsource import cli
@@ -15,6 +17,7 @@ from spinsource.runner import (
     CSV_HEADER,
     ExperimentConfig,
     RunReport,
+    _float_strings,
     emit_report,
     run_config_file,
     run_experiment,
@@ -151,7 +154,7 @@ class TestConfigParsing:
         b = ss.random_observable(1, seed=42)
         for cfg in (
             iid_config(channel=damped),
-            iid_config(channel=damped, block_sites=2, backend="dense", tests=["weak"]),
+            iid_config(channel=damped, block_sites=2, backend="dense", tests=["weak"], n_max=8),
         ):
             src, _ = ss.runner.build_source(cfg)
             dense = ss.source_correlation(src, a, b, [0, 1, 2, 3], "dense")
@@ -341,6 +344,34 @@ class TestEmitReport:
         assert first.payload() == second.payload()
 
 
+# bit patterns a decay column can hold: both zeros, NaNs with three payloads, both
+# infinities, two subnormals and ordinary values
+FLOAT_POOL = np.array([
+    0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001,
+    0xFFF8000000000002, 0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000001,
+    0x800FFFFFFFFFFFFF,
+], dtype=np.uint64).view(np.float64).tolist() + [0.1 + 0.2, -7.125, 1e16, 0.25]
+
+
+class TestFloatStrings:
+    """_float_strings is repr per cell, whatever the runs and repeats of the column."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.integers(0, len(FLOAT_POOL) - 1), st.integers(1, 40)), max_size=30))
+    def test_equals_repr_per_cell(self, runs):
+        column = np.array([FLOAT_POOL[i] for i, length in runs for _ in range(length)], dtype=float)
+        assert _float_strings(column) == [repr(x) for x in column.tolist()]
+
+    @pytest.mark.parametrize("values", [[], [-0.0], [NAN_PAYLOAD], [5e-324]], ids=["empty", "neg_zero", "nan", "subnormal"])
+    def test_short_columns(self, values):
+        column = np.array(values, dtype=float)
+        assert _float_strings(column) == [repr(x) for x in column.tolist()]
+
+    def test_strided_view(self):
+        column = np.repeat(np.array(FLOAT_POOL), 3)[::2]
+        assert _float_strings(column) == [repr(x) for x in column.tolist()]
+
+
 class TestCLI:
     def write_config(self, tmp_path, name="cli_iid", **overrides):
         body = {
@@ -485,6 +516,87 @@ class TestCLI:
 
 
 NAN = float("nan")
+
+
+DEFECT_CAP_CONFIG = {
+    "name": "dense_past_cap",
+    "seed": 3,
+    "source": {
+        "kind": "classically_correlated",
+        "process": {"kind": "markov", "transition": APERIODIC_T},
+    },
+    "backend": "dense",
+    "n_max": 40,
+    "check_sites": 10,
+    "observable_count": 1,
+}
+
+
+class TestCapsAtLoad:
+    """Dense sides are known at load, so a cap fails there, before any check runs."""
+
+    def test_dense_sweep_past_cap_runs_no_check(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(check):
+            def wrapped(*args, **kwargs):
+                calls.append(check.__name__)
+                return check(*args, **kwargs)
+            return wrapped
+
+        for name in ("check_consistency", "check_stationarity"):
+            monkeypatch.setattr(ss.runner, name, counting(getattr(ss.runner, name)))
+        with pytest.raises(ss.CapExceededError, match=r"side 2\*\*41 exceeds"):
+            ExperimentConfig.from_dict(DEFECT_CAP_CONFIG)
+        path = tmp_path / "past_cap.json"
+        path.write_text(json.dumps(DEFECT_CAP_CONFIG))
+        assert cli.main([str(path), "--output-dir", str(tmp_path)]) == 3
+        assert "resource cap" in capsys.readouterr().err
+        assert calls == []
+        assert not list(tmp_path.glob("dense_past_cap.*"))
+
+    @pytest.mark.parametrize(
+        "fits, past",
+        [
+            # sweep: a (x) I^(n_max - block) (x) b spans n_max + block_sites sites
+            ({"tests": ["strong"], "n_max": 8, "block_sites": 2},
+             {"tests": ["strong"], "n_max": 9, "block_sites": 2}),
+            ({"tests": ["consistency"], "check_sites": 10}, {"tests": ["consistency"], "check_sites": 11}),
+            # the checks run whole channel blocks: 11 sites in blocks of 2 check 10
+            ({"tests": ["stationarity"], "check_sites": 11, "channel": {"kind": "identity", "block_sites": 2}},
+             {"tests": ["stationarity"], "check_sites": 11, "channel": {"kind": "identity", "block_sites": 1}}),
+        ],
+        ids=["sweep", "checks", "check_blocks"],
+    )
+    def test_side_at_cap_loads_one_past_fails(self, monkeypatch, fits, past):
+        monkeypatch.setenv(ss.operators.DENSE_CAP_ENV, str(2**10))
+        base = {**DEFECT_CAP_CONFIG, "check_sites": 4}
+        ExperimentConfig.from_dict({**base, **fits})
+        with pytest.raises(ss.CapExceededError, match=r"side 2048 exceeds cap 1024"):
+            ExperimentConfig.from_dict({**base, **past})
+
+    @pytest.mark.parametrize("backend", ["auto", "transfer"])
+    def test_chain_routes_skip_the_sweep_cap_and_build_no_chain(self, monkeypatch, backend):
+        built = []
+        real = ss.sources._emission_chain
+        monkeypatch.setattr(
+            ss.sources, "_emission_chain", lambda *args: built.append(1) or real(*args)
+        )
+        damped = {"kind": "amplitude_damping", "params": {"gamma": 0.4}}
+        config = ExperimentConfig.from_dict({**DEFECT_CAP_CONFIG, "backend": backend, "channel": damped})
+        assert config.n_max == 40
+        assert built == []
+
+    def test_checks_cap_holds_on_every_backend(self):
+        with pytest.raises(ss.CapExceededError, match=r"side 8192 exceeds"):
+            ExperimentConfig.from_dict({**DEFECT_CAP_CONFIG, "backend": "transfer", "check_sites": 13})
+
+    def test_huge_site_count_fails_without_the_power(self):
+        with pytest.raises(ss.CapExceededError, match=r"side 3\*\*1000000001 exceeds"):
+            ExperimentConfig.from_dict({
+                **DEFECT_CAP_CONFIG, "site_dim": 3, "n_max": 10**9, "tests": ["weak"],
+                "source": {"kind": "iid", "state": (np.eye(3) / 3).tolist()},
+            })
 
 
 def correlated(process, alphabet="computational"):
