@@ -227,6 +227,7 @@ def depolarizing_channel(p: float, dim: int = 2) -> KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength must be in [0, 1], got {p}")
     n = dim * dim
+    _check_kraus_count(n)  # before building any of the n operators
     ops = [np.sqrt(1.0 - p * (n - 1) / n) * np.eye(dim, dtype=complex)]
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))

@@ -113,7 +113,10 @@ def as_operator(entries, site_dim: int = 2, sites: int | None = None) -> Operato
 
 
 def density_operator(entries, site_dim: int = 2, sites: int | None = None) -> DensityOperator:
-    """Wrap and validate a matrix (or an Operator) as a density operator."""
+    """Wrap and validate a matrix (or an Operator) as a density operator; a
+    DensityOperator is already valid and comes back unchanged."""
+    if isinstance(entries, DensityOperator):
+        return entries
     op = entries if isinstance(entries, Operator) else as_operator(entries, site_dim, sites)
     return DensityOperator(op.entries, op.sites, op.site_dim)
 

@@ -37,6 +37,19 @@ Config schema (JSON object; defaults in parentheses):
               (components may be mixtures themselves)
 
     MATRIX entries are numbers or [re, im] pairs.
+
+Loading decodes the source and channel once and checks every resource
+cap before any work runs (CapExceededError; the CLI exits 3):
+
+* the dense side site_dim**max_sites of the consistency and stationarity
+  checks, on every backend (max_sites: check_sites in whole channel blocks);
+* the observables' side site_dim**block_sites, and on the dense route the
+  sweep's largest side site_dim**(n_max + block_sites);
+* on the transfer route, the table of hidden**block_sites words by hidden
+  states (WORD_ENUMERATION_CAP);
+* the channel's Kraus operator count (KRAUS_COUNT_CAP);
+* the sweep's rows, (min(site_dim**block_sites, 8) + observable_count) x
+  (n_max - block_sites + 1), at most 5 000 000.
 """
 
 from __future__ import annotations
@@ -46,29 +59,34 @@ import io
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ._version import __version__
-from .channels import _STANDARD_CHANNELS, _is_real, make_standard_channel
+from .channels import _STANDARD_CHANNELS, KrausChannel, _is_real, make_standard_channel
 from .classical import (
+    ClassicalProcess,
     ClassificationReport,
     IIDProcess,
     MarkovProcess,
     MixtureProcess,
+    _check_word_cap,
     classify_process,
 )
-from .errors import ConfigError
-from .operators import _check_cap, as_operator
+from .errors import CapExceededError, ConfigError
+from .operators import DensityOperator, _check_cap, density_operator
 from .sources import (
     AlphabetSpec,
     ChannelTransformedSource,
     ClassicallyCorrelatedSource,
     IIDSource,
+    _resolve_backend,
     check_consistency,
     check_stationarity,
+    computational_alphabet,
 )
 from .ergodicity import SourceSweepReport, sweep_report
 
@@ -81,6 +99,9 @@ _PROCESS_KEYS = {
     "iid": ("probs",), "markov": ("transition", "initial"), "mixture": ("weights", "components"),
 }
 _CHANNEL_KEYS = dict.fromkeys(_STANDARD_CHANNELS, ("params", "block_sites"))
+# a sweep keeps about 200 bytes per (pair, shift) row through emission, so
+# this bounds a run near 1 GB; no override, unlike the dense cap
+_SWEEP_ROW_CAP = 5 * 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +214,61 @@ def _build_process(spec, field: str):
         )
 
 
+class _SourceParts(NamedTuple):
+    """A config's source and channel, decoded and validated once at load.  No
+    part spans more than one site, so a loaded config holds no density."""
+
+    process: ClassicalProcess | None  # None for an iid source
+    emitter: DensityOperator | AlphabetSpec  # the iid state, or the alphabet
+    channel: KrausChannel | None  # the one-site channel on every site
+
+
+def _decode_source(spec, channel_spec, site_dim: int) -> _SourceParts:
+    """The specs' validated parts; a bad node raises ConfigError at its path."""
+    kind = _spec_kind(spec, _SOURCE_KEYS, "source")
+    process = None
+    if kind == "iid":
+        state = _decode_matrix(_require(spec, "state", "source.state"), "source.state")
+        with _as_config_error("source.state"):
+            emitter = density_operator(state, site_dim=site_dim, sites=1)
+    else:
+        process = _build_process(_require(spec, "process", "source.process"), "source.process")
+        alph = spec.get("alphabet", "computational")
+        with _as_config_error("source.alphabet"):
+            if alph == "computational":
+                emitter = computational_alphabet(process.alphabet_size, site_dim)
+            else:
+                emitter = AlphabetSpec(_decode_matrix(alph, "source.alphabet"))
+    channel = None if channel_spec is None else _decode_channel(channel_spec, site_dim)
+    return _SourceParts(process, emitter, channel)
+
+
+def _decode_channel(spec, site_dim: int) -> KrausChannel:
+    """The spec's one-site channel; block_sites is only a check step."""
+    name = _spec_kind(spec, _CHANNEL_KEYS, "channel")
+    blocks = spec.get("block_sites", 1)
+    if not _is_int(blocks) or blocks < 1:
+        raise ConfigError("block_sites must be an integer >= 1", "channel.block_sites")
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("params must be an object", "channel.params")
+    kinds = _STANDARD_CHANNELS[name][0]
+    _check_keys(params, kinds, "channel.params")
+    params = dict(params)
+    for key, value in params.items():
+        what, ok = kinds[key]
+        if not ok(value):
+            raise ConfigError(f"must be {what}", f"channel.params.{key}")
+    if "alphabet" in params:
+        params["alphabet"] = _decode_matrix(params["alphabet"], "channel.params.alphabet")
+    with _as_config_error("channel"):
+        return make_standard_channel(name, params, dim=site_dim)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved run description; equal configs produce equal reports."""
+    """Fully resolved run description; equal configs produce equal reports.
+    parts, the decoded specs, stays out of equality, repr and echo()."""
 
     name: str
     site_dim: int
@@ -210,6 +283,7 @@ class ExperimentConfig:
     tolerance: float | None
     check_sites: int
     output_dir: str
+    parts: _SourceParts = field(compare=False, repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -259,37 +333,53 @@ class ExperimentConfig:
         output_dir = raw.get("output_dir", ".")
         if not isinstance(output_dir, str):
             raise ConfigError("output_dir must be a string", "output_dir")
+        site_dim = _int("site_dim", 2, 2)
+        block_sites = _int("block_sites", 1, 1)
+        n_max = _int("n_max", 2000, 8)
+        observable_count = _int("observable_count", 2, 0)
+        check_sites = _int("check_sites", 4, 2)
+        shifts = n_max - block_sites + 1
+        mixing = any(t in _MIXING for t in tests)
+        if shifts < 4 and mixing:
+            raise ConfigError(
+                f"n_max={n_max} leaves {shifts} shifts for "
+                f"block_sites={block_sites}; the mixing tests need >= 4", "n_max",
+            )
         config = cls(
             name=name,
-            site_dim=_int("site_dim", 2, 2),
+            site_dim=site_dim,
             seed=seed,
             source_spec=source,
             channel_spec=channel,
             tests=tests,
-            block_sites=_int("block_sites", 1, 1),
-            n_max=_int("n_max", 2000, 8),
-            observable_count=_int("observable_count", 2, 0),
+            block_sites=block_sites,
+            n_max=n_max,
+            observable_count=observable_count,
             backend=backend,
             tolerance=tolerance,
-            check_sites=_int("check_sites", 4, 2),
+            check_sites=check_sites,
             output_dir=output_dir,
+            parts=_decode_source(source, channel, site_dim),
         )
-        shifts = config.n_max - config.block_sites + 1
-        if shifts < 4 and any(t in _MIXING for t in tests):
-            raise ConfigError(
-                f"n_max={config.n_max} leaves {shifts} shifts for "
-                f"block_sites={config.block_sites}; the mixing tests need >= 4", "n_max",
-            )
-        # dry build so malformed matrices and specs fail at load time
-        build_source(config)
-        # the dense sides are known now, so a cap fails before any work: the
-        # checks are dense on every backend, the sweep on "dense" only (a
-        # runner-built source carries a chain, so "auto" runs on transfer)
+        # every resource cap, decided before any work: the assembled source
+        # says which route the sweep takes, and is dropped with this frame
+        route = _resolve_backend(build_source(config)[0], backend)
         if any(t in _CHECKS for t in tests):
-            _check_cap(config.site_dim, _check_sites(config)[1])
-        if backend == "dense" and any(t in _MIXING for t in tests):
-            # a (x) I^gap (x) b at the largest gap, n_max - block_sites, as source_correlation checks it
-            _check_cap(config.site_dim, config.n_max + config.block_sites)
+            _check_cap(site_dim, _check_sites(config)[1])  # the checks are dense on every route
+        if mixing:
+            # the observables span block_sites sites; the dense route pads
+            # a (x) I^gap (x) b up to the largest gap, n_max - block_sites
+            _check_cap(site_dim, n_max + block_sites if route == "dense" else block_sites)
+            if route == "transfer":
+                process = config.parts.process
+                hidden = 1 if process is None else process.chain.initial.size
+                _check_word_cap(hidden, block_sites, hidden)  # as source_correlation checks it
+            pairs = min(site_dim**block_sites, 8) + observable_count  # as sweep_report builds them
+            if pairs * shifts > _SWEEP_ROW_CAP:
+                raise CapExceededError(
+                    f"sweep of {pairs} pairs x {shifts} shifts exceeds cap {_SWEEP_ROW_CAP} rows",
+                    cap=_SWEEP_ROW_CAP,
+                )
         return config
 
     @classmethod
@@ -330,49 +420,19 @@ def _check_sites(config: ExperimentConfig) -> tuple:
 
 
 def build_source(config: ExperimentConfig):
-    """(source, base classical process or None) from a config."""
-    d = config.site_dim
-    spec = config.source_spec
-    kind = _spec_kind(spec, _SOURCE_KEYS, "source")
-    process = None
-    if kind == "iid":
-        state = _decode_matrix(_require(spec, "state", "source.state"), "source.state")
-        with _as_config_error("source.state"):
-            source = IIDSource(as_operator(state, site_dim=d, sites=1))
+    """(source, base classical process or None) assembled from the config's
+    decoded parts: constructor calls only, so every run gets a fresh source
+    whose densities live as long as the caller keeps it."""
+    process, emitter, channel = config.parts
+    if process is None:
+        source = IIDSource(emitter)
     else:
-        process = _build_process(_require(spec, "process", "source.process"), "source.process")
-        alph = spec.get("alphabet", "computational")
         with _as_config_error("source.alphabet"):
-            if alph == "computational":
-                vectors = np.eye(d, dtype=complex)[: process.alphabet_size]
-            else:
-                vectors = _decode_matrix(alph, "source.alphabet")
-            source = ClassicallyCorrelatedSource(process, AlphabetSpec(vectors))
-    if config.channel_spec is not None:
-        source = _transform(source, config.channel_spec, d)
+            source = ClassicallyCorrelatedSource(process, emitter)
+    if channel is not None:
+        with _as_config_error("channel"):
+            source = ChannelTransformedSource(source, channel)
     return source, process
-
-
-def _transform(source, spec, site_dim: int):
-    """source under the spec's one-site channel on every site; block_sites is only a check step."""
-    name = _spec_kind(spec, _CHANNEL_KEYS, "channel")
-    blocks = spec.get("block_sites", 1)
-    if not _is_int(blocks) or blocks < 1:
-        raise ConfigError("block_sites must be an integer >= 1", "channel.block_sites")
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params must be an object", "channel.params")
-    kinds = _STANDARD_CHANNELS[name][0]
-    _check_keys(params, kinds, "channel.params")
-    params = dict(params)
-    for key, value in params.items():
-        what, ok = kinds[key]
-        if not ok(value):
-            raise ConfigError(f"must be {what}", f"channel.params.{key}")
-    if "alphabet" in params:
-        params["alphabet"] = _decode_matrix(params["alphabet"], "channel.params.alphabet")
-    with _as_config_error("channel"):
-        return ChannelTransformedSource(source, make_standard_channel(name, params, dim=site_dim))
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ class AlphabetSpec:
 def computational_alphabet(size: int, site_dim: int | None = None) -> AlphabetSpec:
     """The first ``size`` computational basis vectors as an alphabet."""
     d = site_dim if site_dim is not None else size
-    return AlphabetSpec(np.eye(d, dtype=complex)[:size])
+    return AlphabetSpec(np.eye(size, d, dtype=complex))
 
 
 class EmissionChain(NamedTuple):
@@ -146,7 +146,7 @@ class IIDSource:
             raise ShapeMismatchError("iid source takes a single-site state")
         object.__setattr__(self, "site_state", density_operator(self.site_state))
 
-    # every chain is built on first use: loading a config builds its source only to validate it
+    # every chain is built on first use: loading a config assembles its source only to check it
     @cached_property
     def chain(self) -> EmissionChain:
         return _emission_chain(MarkovProcess([[1.0]], [1.0]), [self.site_state.entries])
@@ -211,9 +211,9 @@ class ChannelTransformedSource:
 
     @cached_property
     def chain(self) -> EmissionChain | None:
-        base, d = getattr(self.base, "chain", None), self.site_dim
-        if base is None or self.channel.dim != d:
+        if not _has_chain(self):
             return None
+        base, d = self.base.chain, self.site_dim
         states = [apply_channel(self.channel, Operator(s, 1, d)).entries for s in base.states]
         return _emission_chain(base, states)
 
@@ -253,12 +253,23 @@ def expectation_table(alphabet: AlphabetSpec, a: Operator) -> np.ndarray:
     return _state_table(v[:, :, None] * v[:, None, :].conj(), a)
 
 
+def _has_chain(source) -> bool:
+    """Whether source has an emission chain, decided without building one: a
+    channel on k > 1 sites leaves none, and so does a base without one."""
+    while isinstance(source, ChannelTransformedSource):
+        if source.channel.dim != source.site_dim:
+            return False
+        source = source.base
+    return isinstance(source, (IIDSource, ClassicallyCorrelatedSource)) or getattr(source, "chain", None) is not None
+
+
 def _resolve_backend(source: QuantumSource, backend: str) -> str:
     """The backend a correlation on ``source`` runs on: "auto" picks transfer
-    exactly when the source has an emission chain, which "transfer" needs."""
+    exactly when the source has an emission chain, which "transfer" needs.
+    No chain is built to decide."""
     if backend not in ("auto", "dense", "transfer"):
         raise BackendError(f"unknown backend {backend!r}")
-    chained = getattr(source, "chain", None) is not None
+    chained = _has_chain(source)
     if backend == "transfer" and not chained:
         raise BackendError(f"transfer backend needs an emission chain, which a {type(source).__name__} lacks")
     return ("transfer" if chained else "dense") if backend == "auto" else backend

@@ -168,6 +168,14 @@ class TestBlocks:
             ss.KrausChannel(ops, 1)
         assert info.value.cap == 4096
 
+    def test_depolarizing_count_cap_before_any_operator(self, monkeypatch):
+        powers = []
+        real = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda *args: powers.append(1) or real(*args))
+        with pytest.raises(CapExceededError, match="4225 Kraus operators"):
+            ss.depolarizing_channel(0.1, dim=65)
+        assert powers == []
+
 
 class TestAlphabet:
     def test_non_unit_norm_rejected(self):

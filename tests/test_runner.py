@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -59,6 +61,10 @@ def markov_config(transition, name, **overrides):
     }
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
+
+
+def correlated(process, alphabet="computational"):
+    return {"kind": "classically_correlated", "process": process, "alphabet": alphabet}
 
 
 class TestConfigParsing:
@@ -276,6 +282,57 @@ def _reference_csv(report, path):
                     strong.target.real, strong.deviations[j], cesaro[j].real,
                 )
                 writer.writerow([pair.label, int(i)] + [repr(float(x)) for x in values])
+
+
+class TestDecodeOnce:
+    """Loading decodes each spec once; a run only assembles the source from the parts."""
+
+    RAW = {
+        "name": "decode_once",
+        "seed": 5,
+        "source": correlated(
+            {"kind": "markov", "transition": APERIODIC_T}, [[1.0, 0.0], [2**-0.5, 2**-0.5]]
+        ),
+        "channel": {"kind": "depolarizing", "params": {"p": 0.3}},
+        "n_max": 60,
+        "observable_count": 1,
+    }
+
+    def test_each_decoding_step_runs_once(self, monkeypatch):
+        calls = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+
+        counting(ss.classical, "stationary_distribution")
+        counting(ss.sources, "validate_alphabet")
+        counting(ss.runner, "make_standard_channel")
+        config = ExperimentConfig.from_dict(self.RAW)
+        assert run_experiment(config).passed
+        assert sorted(calls) == ["make_standard_channel", "stationary_distribution", "validate_alphabet"]
+        assert ExperimentConfig.from_dict(config.echo()) == config
+
+    def test_config_keeps_no_source(self, monkeypatch):
+        sources = []
+        real = ss.runner.build_source
+
+        def keeping_a_weakref(config):
+            out = real(config)
+            sources.append(weakref.ref(out[0]))
+            return out
+
+        monkeypatch.setattr(ss.runner, "build_source", keeping_a_weakref)
+        config = ExperimentConfig.from_dict(self.RAW)
+        run_experiment(config)
+        # one source assembled at load, one in the run; neither outlives its call
+        assert len(sources) == 2 and all(ref() is None for ref in sources)
+        for parts in (config.parts, iid_config().parts):
+            assert all(part.sites == 1 for part in parts if isinstance(part, ss.Operator))
 
 
 class TestEmitReport:
@@ -532,10 +589,31 @@ DEFECT_CAP_CONFIG = {
 }
 
 
+def _iid_symbols(name, **overrides):
+    """A config whose source is a fair iid symbol process on the computational alphabet."""
+    source = correlated({"kind": "iid", "probs": [0.5, 0.5]})
+    return {"name": name, "seed": 3, "source": source, **overrides}
+
+
+# each is past one cap, which loading fixes before any check or sweep runs
+PAST_CAP_CONFIGS = {
+    # 101 one-state components: the transfer sweep's table of 101**2 words by 101 states
+    "word_table": _iid_symbols("word_table", block_sites=2, n_max=50, source=correlated({
+        "kind": "mixture", "weights": [1 / 101] * 101,
+        "components": [{"kind": "iid", "probs": [0.5, 0.5]}] * 101,
+    })),
+    "kraus_count": _iid_symbols("kraus_count", site_dim=65, channel={"kind": "depolarizing", "params": {"p": 0.1}}),
+    "wide_site": _iid_symbols("wide_site", site_dim=3000),
+    "sweep_rows": _iid_symbols("sweep_rows", n_max=10**9, backend="transfer"),
+}
+
+
 class TestCapsAtLoad:
     """Dense sides are known at load, so a cap fails there, before any check runs."""
 
-    def test_dense_sweep_past_cap_runs_no_check(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture
+    def check_calls(self, monkeypatch):
+        """Names of the source checks that run, through counting stubs in the runner."""
         calls = []
 
         def counting(check):
@@ -546,14 +624,53 @@ class TestCapsAtLoad:
 
         for name in ("check_consistency", "check_stationarity"):
             monkeypatch.setattr(ss.runner, name, counting(getattr(ss.runner, name)))
+        return calls
+
+    def test_dense_sweep_past_cap_runs_no_check(self, tmp_path, capsys, check_calls):
         with pytest.raises(ss.CapExceededError, match=r"side 2\*\*41 exceeds"):
             ExperimentConfig.from_dict(DEFECT_CAP_CONFIG)
         path = tmp_path / "past_cap.json"
         path.write_text(json.dumps(DEFECT_CAP_CONFIG))
         assert cli.main([str(path), "--output-dir", str(tmp_path)]) == 3
         assert "resource cap" in capsys.readouterr().err
-        assert calls == []
+        assert check_calls == []
         assert not list(tmp_path.glob("dense_past_cap.*"))
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("word_table", r"101\*\*2 words x 101 hidden states exceeds enumeration cap"),
+            ("kraus_count", r"4225 Kraus operators exceeds cap 4096"),
+            ("wide_site", r"side 81000000000000 exceeds"),
+            ("sweep_rows", r"sweep of 4 pairs x 1000000000 shifts exceeds cap 5000000 rows"),
+        ],
+        ids=list(PAST_CAP_CONFIGS),
+    )
+    def test_each_cap_fails_at_load_small(self, tmp_path, capsys, check_calls, case, message):
+        config = PAST_CAP_CONFIGS[case]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ss.CapExceededError, match=message):
+                ExperimentConfig.from_dict(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no site_dim-sized identity or Kraus family is built before the cap fires
+        assert peak < 2**20
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([str(path), "--output-dir", str(tmp_path)]) == 3
+        assert "resource cap" in capsys.readouterr().err
+        assert check_calls == []
+        assert not list(tmp_path.glob(f"{case}.*.*"))
+
+    def test_sweep_rows_at_cap_load(self):
+        cap = ss.runner._SWEEP_ROW_CAP
+        # two projector pairs and no random ones, over n_max shifts
+        at_cap = _iid_symbols("rows", n_max=cap // 2, observable_count=0, backend="transfer")
+        assert ExperimentConfig.from_dict(at_cap).n_max == cap // 2
+        with pytest.raises(ss.CapExceededError, match=f"2 pairs x {cap // 2 + 1} shifts"):
+            ExperimentConfig.from_dict({**at_cap, "n_max": cap // 2 + 1})
 
     @pytest.mark.parametrize(
         "fits, past",
@@ -597,10 +714,6 @@ class TestCapsAtLoad:
                 **DEFECT_CAP_CONFIG, "site_dim": 3, "n_max": 10**9, "tests": ["weak"],
                 "source": {"kind": "iid", "state": (np.eye(3) / 3).tolist()},
             })
-
-
-def correlated(process, alphabet="computational"):
-    return {"kind": "classically_correlated", "process": process, "alphabet": alphabet}
 
 
 class TestNonFiniteAndBooleanInputs:
