@@ -93,12 +93,17 @@ def kraus_channel(operators, dim: int | None = None) -> KrausChannel:
 
 
 def _require_trace_preserving(channel: KrausChannel) -> KrausChannel:
+    """Check completeness once per channel: a channel that passes is marked, and
+    its read-only operators keep it complete, so a marked channel is not checked again."""
+    if channel.__dict__.get("_trace_preserving"):
+        return channel
     report = validate_kraus(channel)
     if not report.passed:
         raise ValueError(
             f"Kraus family is not trace preserving: completeness deviation "
             f"{report.completeness_deviation:.3e} > {report.tol}"
         )
+    channel.__dict__["_trace_preserving"] = True
     return channel
 
 

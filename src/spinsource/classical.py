@@ -69,7 +69,9 @@ class HiddenChain(NamedTuple):
 
 
 def _hidden_chain(initial, transition, emission) -> HiddenChain:
-    arrays = [np.array(a, dtype=float) for a in (initial, transition, emission)]
+    """The chain over the given arrays, not copies: a process's own read-only
+    fields are shared, and the arrays made for the chain are frozen too."""
+    arrays = [np.asarray(a, dtype=float) for a in (initial, transition, emission)]
     for arr in arrays:
         arr.setflags(write=False)
     return HiddenChain(*arrays)

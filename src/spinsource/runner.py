@@ -367,8 +367,8 @@ class ExperimentConfig:
         if any(t in _CHECKS for t in tests):
             _check_cap(site_dim, _check_sites(config)[1])  # the checks are dense on every route
         if mixing:
-            # the observables span block_sites sites; the dense route pads
-            # a (x) I^gap (x) b up to the largest gap, n_max - block_sites
+            # the observables span block_sites sites; the dense route builds rho
+            # over both and the largest gap, n_max - block_sites, its largest object
             _check_cap(site_dim, n_max + block_sites if route == "dense" else block_sites)
             if route == "transfer":
                 process = config.parts.process

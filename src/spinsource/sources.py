@@ -22,10 +22,11 @@ returns the same read-only Operator: at most d^2/(d^2-1) times the largest
 state (4/3 for qubits), and a k-site transform's base keeps its own too.
 
 Correlations corr(gap) = tr(rho (a (x) I^gap (x) b)) run densely
-(explicit rho on a (x) pad (x) b) or on the transfer route, which pairs
-a and b with the emitted states and hands the resulting tables of hidden
-words to the classical correlation sweep of the hidden Markov chain, so
-gaps in the thousands cost no exponential memory.
+(explicit rho, gap sites traced out, then paired with a and b) or on the
+transfer route, which pairs a and b with the emitted states and hands the
+resulting tables of hidden words to the classical correlation sweep of
+the hidden Markov chain, so gaps in the thousands cost no exponential
+memory.
 """
 
 from __future__ import annotations
@@ -289,8 +290,10 @@ def source_correlation(
 ) -> np.ndarray:
     """corr(gap) = tr(rho_{ma+gap+mb} (a (x) I^(x gap) (x) b)) for each gap.
 
-    backend "dense" builds the padded state literally (site count limited
-    by the dense cap); "transfer" pairs a and b with the emitted states,
+    backend "dense" builds rho_{ma+gap+mb} (site count limited by the
+    dense cap), traces out the gap sites and pairs the two-block state
+    with a and b, so no operator of rho's side is formed; "transfer"
+    pairs a and b with the emitted states,
     f[h_1..h_ma] = tr((S_h1 (x) .. (x) S_hma) a) and likewise g for b, and
     takes the hidden Markov chain's classical correlation of f and g;
     "auto" picks transfer when the source has an emission chain.
@@ -301,14 +304,14 @@ def source_correlation(
     if _resolve_backend(source, backend) == "dense":
         if gaps.size:
             _check_cap(source.site_dim, a.sites + int(gaps.max()) + b.sites)
+        da, db = a.dim, b.dim
         out = np.empty(gaps.size, dtype=complex)
         for idx, gap in enumerate(gaps.tolist()):
-            rho = source.density(a.sites + gap + b.sites)
-            joint = a.entries
-            if gap:
-                joint = np.kron(joint, np.eye(source.site_dim**gap, dtype=complex))
-            joint = np.kron(joint, b.entries)
-            out[idx] = np.einsum("ij,ji->", rho.entries, joint)
+            rho = source.density(a.sites + gap + b.sites).entries
+            g = source.site_dim**gap
+            # the gap's partial trace reads only its diagonal: da^2 db^2 g entries of rho
+            pair = np.einsum("agbcgd->abcd", rho.reshape(da, g, db, da, g, db))
+            out[idx] = np.einsum("abcd,ca,db->", pair, a.entries, b.entries)
         return out
     chain = source.chain
     n = chain.initial.size

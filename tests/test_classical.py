@@ -469,3 +469,12 @@ class TestProcessValidation:
             ss.MixtureProcess(
                 [0.5, 0.5], (ss.IIDProcess([0.5, 0.5]), ss.IIDProcess([1 / 3] * 3))
             )
+
+    @pytest.mark.parametrize("initial", [None, [1.0, 0.0]])
+    def test_markov_chain_shares_the_process_arrays(self, initial):
+        p = ss.MarkovProcess(APERIODIC_T, initial=initial)
+        assert np.shares_memory(p.transition, p.chain.transition)
+        assert np.shares_memory(p.initial, p.chain.initial)
+        for process in (p, ss.IIDProcess([0.8, 0.2]), ss.MixtureProcess([0.5, 0.5], (p, p))):
+            assert not any(arr.flags.writeable for arr in process.chain)
+        assert not p.transition.flags.writeable and not p.initial.flags.writeable

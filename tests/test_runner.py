@@ -317,6 +317,20 @@ class TestDecodeOnce:
         assert sorted(calls) == ["make_standard_channel", "stationary_distribution", "validate_alphabet"]
         assert ExperimentConfig.from_dict(config.echo()) == config
 
+    def test_kraus_completeness_checked_once_per_load(self, monkeypatch):
+        calls = []
+        real = ss.channels.validate_kraus
+
+        def counting(channel):
+            calls.append(channel)
+            return real(channel)
+
+        monkeypatch.setattr(ss.channels, "validate_kraus", counting)
+        config = ExperimentConfig.from_dict(self.RAW)
+        assert len(calls) == 1
+        run_experiment(config)
+        assert len(calls) == 1
+
     def test_config_keeps_no_source(self, monkeypatch):
         sources = []
         real = ss.runner.build_source

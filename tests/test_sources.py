@@ -1,6 +1,7 @@
 """Source families: densities, consistency checks, and correlation backends."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -525,3 +526,54 @@ class TestDensityCache:
         second = ss.source_correlation(warm, a, b, gaps, "dense")
         fresh = ss.source_correlation(cache_sources()[name], a, b, gaps, "dense")
         assert first.tobytes() == fresh.tobytes() and second.tobytes() == fresh.tobytes()
+
+
+def kron_correlation(source, a, b, gap) -> complex:
+    """The paper's tr(rho (a (x) 1^(x gap) (x) b)), with the padded operator built in full."""
+    rho = source.density(a.sites + gap + b.sites).entries
+    pad = np.eye(source.site_dim**gap, dtype=complex)
+    return np.einsum("ij,ji->", rho, np.kron(np.kron(a.entries, pad), b.entries))
+
+
+def dense_reference_cases() -> dict:
+    """name -> (source, [(a sites, b sites, gaps)]): the fleet, a source with complex
+    states, a site dim 3 source, and a chainless two-site block channel, whose states
+    exist on even site counts only."""
+    fleet = make_fleet()
+    mixed = [(1, 1, range(6)), (1, 2, range(5)), (2, 1, range(5)), (2, 2, range(4))]
+    cases = {name: (src, mixed) for name, src in fleet.items()}
+    cases["unitary"] = (ss.channel_transform_source(fleet["aperiodic"], ss.random_unitary_channel(2, seed=5)), mixed)
+    cases["d3-markov"] = (FOLD_SOURCES[3, "markov"], [(1, 1, range(4)), (1, 2, range(3)), (2, 1, range(3))])
+    blocked = ss.channel_transform_source(fleet["aperiodic"], tensor_power(ss.amplitude_damping_channel(0.4), 2))
+    cases["blocked"] = (blocked, [(1, 1, [0, 2, 4, 6]), (2, 2, [0, 2, 4])])
+    return cases
+
+
+DENSE_REFERENCE_CASES = dense_reference_cases()
+
+
+class TestDenseContraction:
+    """The dense route traces the gap sites out of rho instead of building a (x) 1 (x) b."""
+
+    @pytest.mark.parametrize("name", sorted(DENSE_REFERENCE_CASES))
+    def test_matches_padded_operator(self, name):
+        source, shapes = DENSE_REFERENCE_CASES[name]
+        d = source.site_dim
+        for ma, mb, gaps in shapes:
+            a = ss.random_observable(ma, seed=70 + ma, site_dim=d)
+            b = ss.random_observable(mb, seed=75 + mb, site_dim=d)
+            got = ss.source_correlation(source, a, b, gaps, "dense")
+            want = np.array([kron_correlation(source, a, b, gap) for gap in gaps])
+            assert np.max(np.abs(got - want)) <= 1e-13, (ma, mb)
+
+    def test_allocates_no_padded_operator(self):
+        source = make_fleet()["aperiodic"]
+        a, b = ss.random_observable(1, seed=71), ss.random_observable(1, seed=72)
+        source.density(10)  # side 2**10, built and kept before the measurement
+        tracemalloc.start()
+        try:
+            ss.source_correlation(source, a, b, [8], "dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2**10) ** 2 * 16 / 4
