@@ -373,12 +373,18 @@ def block_mean(process: ClassicalProcess, f_table) -> complex:
 
 
 def _gap_array(gaps) -> np.ndarray:
-    """gaps (a list, range, array or any iterable of integers) as int64, each >= 0."""
-    if not isinstance(gaps, (np.ndarray, list, tuple, range)):
+    """gaps (a list, range, array or any iterable of integers) as int64, each >= 0.
+    A float or bool gap raises rather than being truncated or read as 0 or 1."""
+    if not isinstance(gaps, (np.ndarray, range)):
         gaps = list(gaps)
-    arr = np.asarray(gaps, dtype=np.int64)
+        if any(isinstance(g, (bool, np.bool_)) for g in gaps):  # numpy casts [1, True] to int
+            raise ValueError("gaps must be integers, not booleans")
+    arr = np.asarray(gaps)
     if arr.ndim != 1:
         raise ValueError("gaps must be a one-dimensional sequence")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"gaps must be integers, got {arr.dtype} values")
+    arr = arr.astype(np.int64, copy=False)
     if np.any(arr < 0):
         raise ValueError("gaps must be >= 0")
     return arr

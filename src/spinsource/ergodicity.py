@@ -28,23 +28,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Operator, random_observable, word_projector
-from .sources import _resolve_backend, source_block_mean, source_correlation
+from .errors import CapExceededError
+from .operators import Operator, _check_cap, random_observable, word_projector
+from .sources import _correlation_route, source_block_mean, source_correlation
 
 DEFAULT_N_MAX = 2000
-TRANSFER_TOL = 1e-2
-DENSE_TOL = 5e-2
+# short dense horizons leave larger finite-size remainders, hence the looser dense default
+_DEFAULT_TOL = {"transfer": 1e-2, "dense": 5e-2}
 DECAY_FLOOR = 1e-13
 _ORDER = {"fail": 0, "inconclusive": 1, "pass": 2}
+_PROJECTOR_LIMIT = 8
+# about 200 bytes per (pair, shift) row through emission: a run stays near 1 GB; no override
+_SWEEP_ROW_CAP = 5 * 10**6
 
 
-def _backend_and_tol(source, backend: str, tol: float | None) -> tuple:
-    """(backend, tol) resolved; short dense horizons leave larger finite-size
-    remainders, hence the looser dense default."""
-    backend = _resolve_backend(source, backend)
-    if tol is None:
-        tol = TRANSFER_TOL if backend == "transfer" else DENSE_TOL
-    return backend, tol
+def _sweep_plan(source, block_sites: int, n_max: int, backend: str, tol: float | None, random_pair_count: int):
+    """sweep_report's (backend, tol), once each cap fits, in this order and with nothing built:
+    the observables' side, the route's cap at the widest gap and the rows, pairs x shifts."""
+    _check_cap(source.site_dim, block_sites)
+    backend = _correlation_route(source, block_sites, block_sites, n_max - block_sites, backend)
+    pairs = min(source.site_dim**block_sites, _PROJECTOR_LIMIT) + random_pair_count
+    shifts = n_max - block_sites + 1
+    if pairs * shifts > _SWEEP_ROW_CAP:
+        raise CapExceededError(
+            f"sweep of {pairs} pairs x {shifts} shifts exceeds cap {_SWEEP_ROW_CAP} rows",
+            cap=_SWEEP_ROW_CAP,
+        )
+    return backend, _DEFAULT_TOL[backend] if tol is None else tol
 
 
 def _verdict(devs: np.ndarray, tol: float) -> str:
@@ -172,7 +182,8 @@ def pair_report(
     b past a.  tol defaults to 1e-2 on the transfer route and 5e-2 on the
     dense route.
     """
-    backend, tol = _backend_and_tol(source, backend, tol)
+    backend = _correlation_route(source, a.sites, b.sites, n_max - a.sites, backend)
+    tol = _DEFAULT_TOL[backend] if tol is None else tol
     shifts = np.arange(a.sites, n_max + 1)
     if shifts.size < 4:
         raise ValueError(
@@ -239,7 +250,7 @@ class SourceSweepReport:
         }
 
 
-def projector_pairs(site_dim: int, block_sites: int, limit: int = 8) -> list:
+def projector_pairs(site_dim: int, block_sites: int, limit: int = _PROJECTOR_LIMIT) -> list:
     """Diagonal word-projector pairs (E_w, E_w), at most ``limit`` of them."""
     words = []
     for idx in range(min(site_dim**block_sites, limit)):
@@ -276,15 +287,13 @@ def sweep_report(
     tol: float | None = None,
     random_pair_count: int = 2,
     seed: int = 0,
-    extra_pairs: list | None = None,
 ) -> SourceSweepReport:
     """pair_report over projector pairs plus seeded random pairs, with the
-    same backend and tolerance defaults."""
-    backend, tol = _backend_and_tol(source, backend, tol)
+    same backend and tolerance defaults.  Every cap is checked before any
+    observable is drawn (_sweep_plan); custom pairs go through pair_report."""
+    backend, tol = _sweep_plan(source, block_sites, n_max, backend, tol, random_pair_count)
     pairs = projector_pairs(source.site_dim, block_sites)
     pairs += random_pairs(source.site_dim, block_sites, random_pair_count, seed)
-    if extra_pairs:
-        pairs += list(extra_pairs)
     pair_reports = [
         pair_report(source, a, b, n_max, backend, tol, label) for label, a, b in pairs
     ]

@@ -38,18 +38,12 @@ Config schema (JSON object; defaults in parentheses):
 
     MATRIX entries are numbers or [re, im] pairs.
 
-Loading decodes the source and channel once and checks every resource
-cap before any work runs (CapExceededError; the CLI exits 3):
-
-* the dense side site_dim**max_sites of the consistency and stationarity
-  checks, on every backend (max_sites: check_sites in whole channel blocks);
-* the observables' side site_dim**block_sites, and on the dense route the
-  sweep's largest side site_dim**(n_max + block_sites);
-* on the transfer route, the table of hidden**block_sites words by hidden
-  states (WORD_ENUMERATION_CAP);
-* the channel's Kraus operator count (KRAUS_COUNT_CAP);
-* the sweep's rows, (min(site_dim**block_sites, 8) + observable_count) x
-  (n_max - block_sites + 1), at most 5 000 000.
+Loading decodes the source and channel once and, before any work runs,
+makes the same cap checks a run makes (CapExceededError; the CLI exits 3):
+the checks' dense side site_dim**max_sites on every backend (max_sites:
+check_sites in whole channel blocks), then sweep_report's own pre-flight,
+ergodicity._sweep_plan, which library callers of sweep_report meet too.
+The channel's Kraus count (KRAUS_COUNT_CAP) is checked as it is decoded.
 """
 
 from __future__ import annotations
@@ -73,22 +67,20 @@ from .classical import (
     IIDProcess,
     MarkovProcess,
     MixtureProcess,
-    _check_word_cap,
     classify_process,
 )
-from .errors import CapExceededError, ConfigError
+from .errors import ConfigError
 from .operators import DensityOperator, _check_cap, density_operator
 from .sources import (
     AlphabetSpec,
     ChannelTransformedSource,
     ClassicallyCorrelatedSource,
     IIDSource,
-    _resolve_backend,
     check_consistency,
     check_stationarity,
     computational_alphabet,
 )
-from .ergodicity import SourceSweepReport, sweep_report
+from .ergodicity import SourceSweepReport, _sweep_plan, sweep_report
 
 TEST_NAMES = ("consistency", "stationarity", "ergodic_mean", "weak_mixing", "strong_mixing")
 _ALIASES = {"ergodic": "ergodic_mean", "weak": "weak_mixing", "strong": "strong_mixing"}
@@ -99,9 +91,6 @@ _PROCESS_KEYS = {
     "iid": ("probs",), "markov": ("transition", "initial"), "mixture": ("weights", "components"),
 }
 _CHANNEL_KEYS = dict.fromkeys(_STANDARD_CHANNELS, ("params", "block_sites"))
-# a sweep keeps about 200 bytes per (pair, shift) row through emission, so
-# this bounds a run near 1 GB; no override, unlike the dense cap
-_SWEEP_ROW_CAP = 5 * 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -361,25 +350,13 @@ class ExperimentConfig:
             output_dir=output_dir,
             parts=_decode_source(source, channel, site_dim),
         )
-        # every resource cap, decided before any work: the assembled source
-        # says which route the sweep takes, and is dropped with this frame
-        route = _resolve_backend(build_source(config)[0], backend)
+        # every resource cap, decided before any work by the checks' and the
+        # sweep's own pre-flights; the assembled source is dropped with this frame
+        source = build_source(config)[0]
         if any(t in _CHECKS for t in tests):
             _check_cap(site_dim, _check_sites(config)[1])  # the checks are dense on every route
         if mixing:
-            # the observables span block_sites sites; the dense route builds rho
-            # over both and the largest gap, n_max - block_sites, its largest object
-            _check_cap(site_dim, n_max + block_sites if route == "dense" else block_sites)
-            if route == "transfer":
-                process = config.parts.process
-                hidden = 1 if process is None else process.chain.initial.size
-                _check_word_cap(hidden, block_sites, hidden)  # as source_correlation checks it
-            pairs = min(site_dim**block_sites, 8) + observable_count  # as sweep_report builds them
-            if pairs * shifts > _SWEEP_ROW_CAP:
-                raise CapExceededError(
-                    f"sweep of {pairs} pairs x {shifts} shifts exceeds cap {_SWEEP_ROW_CAP} rows",
-                    cap=_SWEEP_ROW_CAP,
-                )
+            _sweep_plan(source, block_sites, n_max, backend, tolerance, observable_count)
         return config
 
     @classmethod

@@ -143,9 +143,10 @@ class IIDSource:
     site_state: DensityOperator
 
     def __post_init__(self):
-        if self.site_state.sites != 1:
+        state = density_operator(self.site_state)  # a raw matrix has no site count until validated
+        if state.sites != 1:
             raise ShapeMismatchError("iid source takes a single-site state")
-        object.__setattr__(self, "site_state", density_operator(self.site_state))
+        object.__setattr__(self, "site_state", state)
 
     # every chain is built on first use: loading a config assembles its source only to check it
     @cached_property
@@ -212,7 +213,7 @@ class ChannelTransformedSource:
 
     @cached_property
     def chain(self) -> EmissionChain | None:
-        if not _has_chain(self):
+        if _hidden_states(self) is None:
             return None
         base, d = self.base.chain, self.site_dim
         states = [apply_channel(self.channel, Operator(s, 1, d)).entries for s in base.states]
@@ -254,26 +255,37 @@ def expectation_table(alphabet: AlphabetSpec, a: Operator) -> np.ndarray:
     return _state_table(v[:, :, None] * v[:, None, :].conj(), a)
 
 
-def _has_chain(source) -> bool:
-    """Whether source has an emission chain, decided without building one: a
-    channel on k > 1 sites leaves none, and so does a base without one."""
+def _hidden_states(source) -> int | None:
+    """The hidden-state count of source's emission chain, or None without one, decided
+    without building a chain: a channel on k > 1 sites leaves none, as does a base without one."""
     while isinstance(source, ChannelTransformedSource):
         if source.channel.dim != source.site_dim:
-            return False
+            return None
         source = source.base
-    return isinstance(source, (IIDSource, ClassicallyCorrelatedSource)) or getattr(source, "chain", None) is not None
+    if isinstance(source, IIDSource):
+        return 1
+    if isinstance(source, ClassicallyCorrelatedSource):
+        return source.process.chain.initial.size
+    chain = getattr(source, "chain", None)  # a source family from outside the library
+    return None if chain is None else chain.initial.size
 
 
-def _resolve_backend(source: QuantumSource, backend: str) -> str:
-    """The backend a correlation on ``source`` runs on: "auto" picks transfer
-    exactly when the source has an emission chain, which "transfer" needs.
-    No chain is built to decide."""
+def _correlation_route(source: QuantumSource, a_sites: int, b_sites: int, max_gap: int, backend: str) -> str:
+    """The backend that correlations of a_sites- and b_sites-site observables at
+    gaps up to max_gap run on, once that route's cap fits: the dense side
+    d**(a+gap+b), or the transfer sweep's table of n**max(a, b) hidden words by
+    n end states.  "auto" picks transfer exactly when the source has an emission
+    chain, which "transfer" needs.  Nothing is built to decide."""
     if backend not in ("auto", "dense", "transfer"):
         raise BackendError(f"unknown backend {backend!r}")
-    chained = _has_chain(source)
-    if backend == "transfer" and not chained:
+    hidden = _hidden_states(source)
+    if backend == "transfer" and hidden is None:
         raise BackendError(f"transfer backend needs an emission chain, which a {type(source).__name__} lacks")
-    return ("transfer" if chained else "dense") if backend == "auto" else backend
+    if backend == "dense" or hidden is None:
+        _check_cap(source.site_dim, a_sites + max_gap + b_sites)
+        return "dense"
+    _check_word_cap(hidden, max(a_sites, b_sites), hidden)
+    return "transfer"
 
 
 def source_block_mean(source: QuantumSource, a: Operator) -> complex:
@@ -301,9 +313,7 @@ def source_correlation(
     gaps = _gap_array(gaps)
     if a.site_dim != source.site_dim or b.site_dim != source.site_dim:
         raise ShapeMismatchError("observable site dim does not match source")
-    if _resolve_backend(source, backend) == "dense":
-        if gaps.size:
-            _check_cap(source.site_dim, a.sites + int(gaps.max()) + b.sites)
+    if _correlation_route(source, a.sites, b.sites, int(gaps.max(initial=0)), backend) == "dense":
         da, db = a.dim, b.dim
         out = np.empty(gaps.size, dtype=complex)
         for idx, gap in enumerate(gaps.tolist()):
@@ -314,8 +324,6 @@ def source_correlation(
             out[idx] = np.einsum("abcd,ca,db->", pair, a.entries, b.entries)
         return out
     chain = source.chain
-    n = chain.initial.size
-    _check_word_cap(n, max(a.sites, b.sites), n)  # the sweep's table over hidden words, per end state
     f, g = (_state_table(chain.states, x) for x in (a, b))
     return classical_correlation_sweep(MarkovProcess(chain.transition, chain.initial), f, g, gaps)
 

@@ -198,6 +198,17 @@ class TestCorrelation:
         with pytest.raises(ShapeMismatchError):
             ss.classical_correlation(ss.IIDProcess([0.5, 0.5]), np.ones((2, 3)), np.ones(2), 0)
 
+    @pytest.mark.parametrize("gaps", [[0.7, 2.9], [True], [0, False], np.array([1.5]), np.array([True])])
+    def test_sweep_rejects_non_integer_gaps(self, gaps):
+        with pytest.raises(ValueError, match="gaps must be integers"):
+            ss.classical_correlation_sweep(ss.MarkovProcess(APERIODIC_T), [1.0, 0.0], [1.0, 0.0], gaps)
+
+    def test_sweep_takes_empty_and_integer_array_gaps(self):
+        chain, f = ss.MarkovProcess(APERIODIC_T), [1.0, 0.0]
+        assert ss.classical_correlation_sweep(chain, f, f, []).shape == (0,)
+        out = ss.classical_correlation_sweep(chain, f, f, np.array([3, 0], dtype=np.int32))
+        assert np.array_equal(out, ss.classical_correlation_sweep(chain, f, f, [3, 0]))
+
     @given(st.integers(0, 30))
     def test_sweep_matches_pointwise(self, gap):
         chain = ss.MarkovProcess(APERIODIC_T)

@@ -233,18 +233,6 @@ class TestSweep:
         rates = sweep.decay_rates
         assert rates["proj_0"] == pytest.approx(0.7, rel=1e-4)
 
-    def test_extra_pairs_included(self, fleet):
-        x = ss.as_operator(ss.PAULI_X)
-        sweep = ss.sweep_report(
-            fleet["iid"],
-            n_max=100,
-            backend="transfer",
-            seed=5,
-            random_pair_count=0,
-            extra_pairs=[("xx", x, x)],
-        )
-        assert sweep.pairs[-1].label == "xx"
-
     def test_dense_tolerance_default(self, fleet):
         sweep = ss.sweep_report(fleet["iid"], n_max=10, backend="dense", seed=5)
         assert sweep.tol == pytest.approx(5e-2)

@@ -679,7 +679,7 @@ class TestCapsAtLoad:
         assert not list(tmp_path.glob(f"{case}.*.*"))
 
     def test_sweep_rows_at_cap_load(self):
-        cap = ss.runner._SWEEP_ROW_CAP
+        cap = ss.ergodicity._SWEEP_ROW_CAP
         # two projector pairs and no random ones, over n_max shifts
         at_cap = _iid_symbols("rows", n_max=cap // 2, observable_count=0, backend="transfer")
         assert ExperimentConfig.from_dict(at_cap).n_max == cap // 2
@@ -717,6 +717,47 @@ class TestCapsAtLoad:
         config = ExperimentConfig.from_dict({**DEFECT_CAP_CONFIG, "backend": backend, "channel": damped})
         assert config.n_max == 40
         assert built == []
+
+    @pytest.mark.parametrize("case", ["word_table", "sweep_rows", "defect"])
+    def test_library_sweep_raises_the_load_message(self, monkeypatch, case):
+        raw = DEFECT_CAP_CONFIG if case == "defect" else PAST_CAP_CONFIGS[case]
+        with pytest.raises(ss.CapExceededError) as at_load:
+            ExperimentConfig.from_dict(raw)
+        monkeypatch.setattr(ss.runner, "_sweep_plan", lambda *args: None)
+        config = ExperimentConfig.from_dict(raw)
+        with pytest.raises(ss.CapExceededError) as in_sweep:
+            ss.sweep_report(
+                ss.runner.build_source(config)[0], config.block_sites, config.n_max, config.backend,
+                config.tolerance, config.observable_count, config.seed,
+            )
+        assert str(in_sweep.value) == str(at_load.value)
+
+    def test_library_sweep_past_row_cap_draws_nothing(self, monkeypatch):
+        with pytest.raises(ss.CapExceededError) as at_load:
+            ExperimentConfig.from_dict(_iid_symbols("rows", n_max=3 * 10**6, observable_count=0))
+        calls = []
+        for name in ("random_observable", "word_projector", "source_correlation"):
+            monkeypatch.setattr(ss.ergodicity, name, lambda *args, name=name: calls.append(name))
+        iid = ss.IIDSource(ss.density_operator(RHO_SITE))
+        with pytest.raises(ss.CapExceededError) as in_sweep:
+            ss.sweep_report(iid, n_max=3 * 10**6, random_pair_count=0)
+        assert str(in_sweep.value) == str(at_load.value) == "sweep of 2 pairs x 3000000 shifts exceeds cap 5000000 rows"
+        assert calls == []
+
+    def test_sweep_plan_runs_once_per_load_and_once_per_run(self, monkeypatch):
+        calls = []
+        real = ss.ergodicity._sweep_plan
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ss.ergodicity, "_sweep_plan", counting)
+        monkeypatch.setattr(ss.runner, "_sweep_plan", counting)
+        config = iid_config(n_max=40)
+        assert len(calls) == 1
+        run_experiment(config)
+        assert len(calls) == 2
 
     def test_checks_cap_holds_on_every_backend(self):
         with pytest.raises(ss.CapExceededError, match=r"side 8192 exceeds"):

@@ -72,6 +72,13 @@ class TestDensities:
         with pytest.raises(ShapeMismatchError):
             ss.IIDSource(ss.random_density(2, seed=1))
 
+    def test_iid_takes_a_raw_matrix(self):
+        src = ss.IIDSource(np.eye(2) / 2)
+        assert isinstance(src.site_state, ss.DensityOperator) and src.site_state.sites == 1
+        assert np.array_equal(src.density(2).entries, np.eye(4) / 4)
+        with pytest.raises(ShapeMismatchError):
+            ss.IIDSource(np.eye(4) / 4)
+
     def test_transform_needs_power_of_site_dim(self, fleet):
         with pytest.raises(AlignmentError):
             ss.channel_transform_source(fleet["iid"], ss.depolarizing_channel(0.3, dim=3))
@@ -234,6 +241,21 @@ class TestCorrelations:
         a = ss.random_observable(1, seed=74)
         with pytest.raises(ValueError):
             ss.source_correlation(fleet["iid"], a, a, [-1])
+
+    @pytest.mark.parametrize("backend", ["dense", "transfer"])
+    @pytest.mark.parametrize("gaps", [[0.7, 2.9], [True], [1, True], np.array([1.0, 2.0]), np.array([True])])
+    def test_non_integer_gaps_rejected(self, fleet, backend, gaps):
+        a = ss.random_observable(1, seed=74)
+        with pytest.raises(ValueError, match="gaps must be integers"):
+            ss.source_correlation(fleet["aperiodic"], a, a, gaps, backend)
+
+    @pytest.mark.parametrize("backend", ["dense", "transfer"])
+    def test_empty_and_integer_array_gaps(self, fleet, backend):
+        a = ss.random_observable(1, seed=74)
+        assert ss.source_correlation(fleet["aperiodic"], a, a, [], backend).shape == (0,)
+        for gaps in (np.array([2, 0], dtype=np.int32), np.array([2, 0], dtype=np.uint8)):
+            out = ss.source_correlation(fleet["aperiodic"], a, a, gaps, backend)
+            assert np.array_equal(out, ss.source_correlation(fleet["aperiodic"], a, a, [2, 0], backend))
 
     def test_site_dim_mismatch(self, fleet):
         a = ss.random_observable(1, seed=75, site_dim=3)
@@ -429,11 +451,11 @@ class TestMultiSiteChannel:
             blocked.density(3)
 
     def test_auto_resolves_to_dense(self, blocked, broken_family):
-        from spinsource.sources import _resolve_backend
+        from spinsource.sources import _correlation_route
 
-        assert _resolve_backend(blocked, "auto") == "dense"
-        assert _resolve_backend(broken_family, "auto") == "dense"
-        assert _resolve_backend(FOLD_SOURCES[2, "nested"], "auto") == "transfer"
+        assert _correlation_route(blocked, 1, 1, 0, "auto") == "dense"
+        assert _correlation_route(broken_family, 1, 1, 0, "auto") == "dense"
+        assert _correlation_route(FOLD_SOURCES[2, "nested"], 1, 1, 0, "auto") == "transfer"
 
     def test_transfer_raises(self, fleet, blocked):
         a = ss.random_observable(2, seed=95)
