@@ -39,10 +39,11 @@ Config schema (JSON object; defaults in parentheses):
     MATRIX entries are numbers or [re, im] pairs.
 
 Loading decodes the source and channel once and, before any work runs,
-makes the same cap checks a run makes (CapExceededError; the CLI exits 3):
-the checks' dense side site_dim**max_sites on every backend (max_sites:
-check_sites in whole channel blocks), then sweep_report's own pre-flight,
-ergodicity._sweep_plan, which library callers of sweep_report meet too.
+makes the same cap checks a run makes (CapExceededError; the CLI exits 3),
+through the library's own pre-flights, which library callers meet too: the
+checks' sources._check_plan (the dense side site_dim**max_sites on every
+backend; max_sites: check_sites in whole channel blocks), then sweep_report's
+ergodicity._sweep_plan.
 The channel's Kraus count (KRAUS_COUNT_CAP) is checked as it is decoded.
 """
 
@@ -70,12 +71,13 @@ from .classical import (
     classify_process,
 )
 from .errors import ConfigError
-from .operators import DensityOperator, _check_cap, density_operator
+from .operators import DensityOperator, density_operator
 from .sources import (
     AlphabetSpec,
     ChannelTransformedSource,
     ClassicallyCorrelatedSource,
     IIDSource,
+    _check_plan,
     check_consistency,
     check_stationarity,
     computational_alphabet,
@@ -354,7 +356,7 @@ class ExperimentConfig:
         # sweep's own pre-flights; the assembled source is dropped with this frame
         source = build_source(config)[0]
         if any(t in _CHECKS for t in tests):
-            _check_cap(site_dim, _check_sites(config)[1])  # the checks are dense on every route
+            _check_plan(source, *_check_sites(config))  # the checks are dense on every route
         if mixing:
             _sweep_plan(source, block_sites, n_max, backend, tolerance, observable_count)
         return config
@@ -390,10 +392,10 @@ class ExperimentConfig:
 
 
 def _check_sites(config: ExperimentConfig) -> tuple:
-    """(block, max_sites) of the consistency and stationarity checks: whole
+    """(max_sites, block) of the consistency and stationarity checks: whole
     channel blocks, at least two of them."""
     block = (config.channel_spec or {}).get("block_sites", 1)
-    return block, max(2, config.check_sites // block) * block
+    return max(2, config.check_sites // block) * block, block
 
 
 def build_source(config: ExperimentConfig):
@@ -519,7 +521,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
     source, process = build_source(config)
     checks = {}
-    block, max_sites = _check_sites(config)
+    max_sites, block = _check_sites(config)
     if "consistency" in config.tests:
         checks["consistency"] = check_consistency(source, max_sites, block)
     if "stationarity" in config.tests:

@@ -20,6 +20,9 @@ rho_m = sum_h initial(h_1) P[h_1, h_2] .. P[h_m-1, h_m] S_h1 (x) .. (x) S_hm.
 A source keeps each rho_m it builds for its own lifetime, so a repeat call
 returns the same read-only Operator: at most d^2/(d^2-1) times the largest
 state (4/3 for qubits), and a k-site transform's base keeps its own too.
+A chain source also keeps the n blocks one site short of the last state it
+built (n/d^2 times that state's memory), so the next site count costs one
+step of the chain, not m.
 
 Correlations corr(gap) = tr(rho (a (x) I^gap (x) b)) run densely
 (explicit rho, gap sites traced out, then paired with a and b) or on the
@@ -92,20 +95,55 @@ def _emission_chain(hidden, states) -> EmissionChain:
     return EmissionChain(hidden.initial, hidden.transition, states)
 
 
-def _chain_blocks(chain: EmissionChain, sites: int) -> list:
-    """T_m(h) for each hidden state h, what h emits from here on:
-    T_1(h) = S_h and T_j(h) = S_h (x) sum_g P[h, g] T_{j-1}(g)."""
-    blocks = list(chain.states)
-    for _ in range(sites - 1):
-        mixed = [sum(w * t for w, t in zip(row, blocks)) for row in chain.transition]
-        blocks = [np.kron(s, m) for s, m in zip(chain.states, mixed)]
-    return blocks
+def _emit(states: np.ndarray, mixed: np.ndarray, out=None) -> np.ndarray:
+    """S_h (x) M(h) for stacked (k, d, d) states and (k, D, D) blocks, as (k, d, D, d, D):
+    one broadcast product, the elementwise product np.kron forms, without its per-call cost."""
+    return np.multiply(states[:, :, None, :, None], mixed[:, None, :, None, :], out=out)
+
+
+def _step(chain: EmissionChain, mixed: np.ndarray | None) -> np.ndarray:
+    """M_{j+1} from M_j, stacked (n, D, D): M_j(h) = sum_g P[h, g] T_j(g) is the j-site
+    state that follows hidden state h, and T_{j+1}(h) = S_h (x) M_j(h) what h emits over
+    j + 1 sites; None stands for M_0, with T_1 = S.  The sum runs elementwise from 0 in
+    g order, as Python's sum of the products would, with one buffer for the products."""
+    if mixed is None:
+        blocks = chain.states
+    else:
+        n, side = mixed.shape[0], chain.states.shape[1] * mixed.shape[1]
+        blocks = _emit(chain.states, mixed).reshape(n, side, side)
+    total = term = None
+    for p, t in zip(chain.transition.T, blocks):
+        term = np.multiply(p[:, None, None], t, out=term)
+        total = 0 + term if total is None else np.add(total, term, out=total)
+    return total
+
+
+def _chain_density(chain: EmissionChain, mixed: np.ndarray | None) -> np.ndarray:
+    """rho_m = sum_h initial(h) T_m(h) from M_{m-1}, elementwise from 0 in h order.  Each
+    T_m(h) is formed in turn in one buffer, so no stack of blocks of rho's side exists."""
+    if mixed is None:
+        return sum(q * s for q, s in zip(chain.initial, chain.states))
+    rho = t = None
+    for q, s, m in zip(chain.initial, chain.states, mixed):
+        t = np.multiply(q, _emit(s[None], m[None], t), out=t)
+        rho = 0 + t if rho is None else np.add(rho, t, out=rho)
+    side = chain.states.shape[1] * mixed.shape[1]
+    return rho.reshape(side, side)
+
+
+def _count(value, what: str) -> int:
+    """value as an int: operator.index refuses a float, and a bool, which it would
+    take as 0 or 1, is refused here."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, not a boolean")
+    return index(value)
 
 
 def _density(source, sites: int) -> Operator:
     """rho_m of a library source, built on the first call for m and kept with the source.
     The cap is checked on every call; a build that raises keeps nothing."""
-    _check_cap(source.site_dim, index(sites))  # a site count below 1 fails in Operator, after no work
+    sites = _count(sites, "site count")
+    _check_cap(source.site_dim, sites)  # a site count below 1 fails in Operator, after one-site work
     built = source.__dict__.setdefault("_densities", {})
     if sites not in built:
         built[sites] = _build_density(source, sites)
@@ -113,13 +151,20 @@ def _density(source, sites: int) -> Operator:
 
 
 def _build_density(source, sites: int) -> Operator:
-    """rho_m = sum_h initial(h) T_m(h), or the k-site channel on the base state of a
-    chainless source; the blocks are freed before Operator copies rho."""
+    """rho_m from the emission chain, or the k-site channel on the base state of a
+    chainless source.  M_{m-1} is stepped from the blocks kept from the source's last
+    build when those are below it, else from M_0, and is kept once rho_m is built."""
     chain = source.chain
     if chain is None:
         return apply_channel(source.channel, source.base.density(sites))
-    rho = sum(q * t for q, t in zip(chain.initial, _chain_blocks(chain, sites)))
-    return Operator(rho, sites, source.site_dim)
+    level, mixed = source.__dict__.get("_blocks", (0, None))
+    if level >= sites:
+        level, mixed = 0, None
+    for _ in range(level, sites - 1):
+        mixed = _step(chain, mixed)
+    state = Operator(_chain_density(chain, mixed), sites, source.site_dim)
+    source.__dict__["_blocks"] = (sites - 1, mixed)
+    return state
 
 
 def _state_table(states: np.ndarray, a: Operator) -> np.ndarray:
@@ -359,13 +404,21 @@ class SourceCheckReport:
         return self.worst_deviation <= self.tol
 
 
-def _reduction_check(source: QuantumSource, max_sites: int, mode: str, block: int) -> SourceCheckReport:
+def _check_plan(source, max_sites: int, block: int) -> tuple:
+    """The reduction checks' (max_sites, block), once both are whole counts, max_sites
+    is at least two whole blocks and rho_max_sites fits the dense cap; nothing is built."""
+    max_sites, block = _count(max_sites, "max_sites"), _count(block, "block")
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     if max_sites < 2 * block or max_sites % block:
         raise ValueError(f"max_sites must be a multiple of {block} and at least {2 * block}, got {max_sites}")
+    _check_cap(source.site_dim, max_sites)
+    return max_sites, block
+
+
+def _reduction_check(source: QuantumSource, max_sites: int, mode: str, block: int) -> SourceCheckReport:
+    max_sites, block = _check_plan(source, max_sites, block)
     d = source.site_dim
-    _check_cap(d, max_sites)
     states = {m: source.density(m).entries for m in range(block, max_sites + 1, block)}
     worst = 0.0
     worst_pair = (block, block)

@@ -759,6 +759,32 @@ class TestCapsAtLoad:
         run_experiment(config)
         assert len(calls) == 2
 
+    def test_check_plan_runs_once_per_load_and_once_per_check(self, monkeypatch):
+        calls = []
+        real = ss.sources._check_plan
+
+        def counting(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(ss.sources, "_check_plan", counting)
+        monkeypatch.setattr(ss.runner, "_check_plan", counting)
+        config = iid_config(n_max=40, check_sites=5, channel={"kind": "identity", "block_sites": 2})
+        assert calls == [(4, 2)]
+        run_experiment(config)
+        assert calls == [(4, 2)] * 3
+
+    def test_library_checks_raise_the_load_message(self, monkeypatch):
+        raw = {**DEFECT_CAP_CONFIG, "tests": ["consistency"], "check_sites": 13}
+        with pytest.raises(ss.CapExceededError) as at_load:
+            ExperimentConfig.from_dict(raw)
+        monkeypatch.setattr(ss.runner, "_check_plan", lambda *args: None)
+        source = ss.runner.build_source(ExperimentConfig.from_dict(raw))[0]
+        for check in (ss.check_consistency, ss.check_stationarity):
+            with pytest.raises(ss.CapExceededError) as in_check:
+                check(source, 13)
+            assert str(in_check.value) == str(at_load.value)
+
     def test_checks_cap_holds_on_every_backend(self):
         with pytest.raises(ss.CapExceededError, match=r"side 8192 exceeds"):
             ExperimentConfig.from_dict({**DEFECT_CAP_CONFIG, "backend": "transfer", "check_sites": 13})

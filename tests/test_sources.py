@@ -599,3 +599,132 @@ class TestDenseContraction:
         finally:
             tracemalloc.stop()
         assert peak < (2**10) ** 2 * 16 / 4
+
+
+def kernel_sources() -> dict:
+    """name -> (factory of a fresh source with nothing built, the site counts it has states for):
+    iid, a nested mixture, channel-transformed chains at site dim 2 and 3, and a chainless
+    block channel."""
+    a_proc = ss.MarkovProcess(APERIODIC_T)
+    nested = ss.MixtureProcess([0.5, 0.5], (ss.MixtureProcess([0.5, 0.5], (a_proc, ss.IIDProcess([0.2, 0.8]))), a_proc))
+    damping = ss.amplitude_damping_channel(0.4)
+    # full-rank states, so three nonzero terms meet in every entry of the mixing sums
+    d3_markov = ss.MarkovProcess([[0.37, 0.41, 0.22], [0.13, 0.58, 0.29], [0.31, 0.26, 0.43]])
+    d3_noise = ss.depolarizing_channel(0.3, dim=3)
+    return {
+        "iid": (lambda: make_fleet()["iid"], range(1, 8)),
+        "nested_mixture": (lambda: ss.ClassicallyCorrelatedSource(nested, ss.AlphabetSpec(NONORTHO)), range(1, 8)),
+        "transformed": (lambda: ss.channel_transform_source(make_fleet()["mixture"], damping), range(1, 8)),
+        "d3": (
+            lambda: ss.channel_transform_source(ss.ClassicallyCorrelatedSource(d3_markov, ss.AlphabetSpec(NONORTHO3)), d3_noise),
+            range(1, 5),
+        ),
+        "blocked": (lambda: ss.channel_transform_source(make_fleet()["aperiodic"], tensor_power(damping, 2)), range(2, 8, 2)),
+    }
+
+
+KERNEL_SOURCES = kernel_sources()
+BUILD_ORDERS = {
+    "ascending": lambda counts: list(counts),
+    "descending": lambda counts: list(counts)[::-1],
+    # every other count, stepping two sites at a time from the kept blocks, then the rest from scratch
+    "skipping": lambda counts: list(counts)[1::2] + list(counts)[::2],
+    "repeated": lambda counts: [counts[-2], counts[-2], counts[0], counts[-1], counts[-1], counts[0]],
+}
+
+
+def kron_loop_density(chain, sites: int) -> np.ndarray:
+    """The reference loop: T_1(h) = S_h, T_j(h) = kron(S_h, sum_g P[h, g] T_{j-1}(g)) by one
+    np.kron per hidden state, and rho_m = sum_h initial(h) T_m(h)."""
+    blocks = list(chain.states)
+    for _ in range(sites - 1):
+        mixed = [sum(w * t for w, t in zip(row, blocks)) for row in chain.transition]
+        blocks = [np.kron(s, m) for s, m in zip(chain.states, mixed)]
+    return sum(q * t for q, t in zip(chain.initial, blocks))
+
+
+class TestIncrementalBuild:
+    """rho_m stepped from the kept blocks of an earlier build is bitwise the state built cold,
+    and both are bitwise the reference loop's."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SOURCES))
+    def test_ascending_builds_match_the_kron_loop(self, name):
+        make, counts = KERNEL_SOURCES[name]
+        src = make()
+        chained = src if src.chain is not None else src.base
+        for m in counts:
+            want = kron_loop_density(chained.chain, m)
+            if chained is not src:
+                want = ss.apply_channel(src.channel, ss.Operator(want, m, src.site_dim)).entries
+            assert src.density(m).entries.tobytes() == want.tobytes(), m
+
+    @pytest.mark.parametrize("order", sorted(BUILD_ORDERS))
+    @pytest.mark.parametrize("name", sorted(KERNEL_SOURCES))
+    def test_warm_build_is_bitwise_cold(self, name, order):
+        make, counts = KERNEL_SOURCES[name]
+        cold = {m: make().density(m).entries.tobytes() for m in counts}
+        src = make()
+        for m in BUILD_ORDERS[order](counts):
+            assert src.density(m).entries.tobytes() == cold[m], m
+
+    def test_chain_source_keeps_the_blocks_one_site_short(self):
+        src = KERNEL_SOURCES["transformed"][0]()
+        src.density(5)
+        level, mixed = src.__dict__["_blocks"]
+        assert level == 4 and mixed.shape == (len(src.chain.initial), 2**4, 2**4)
+        src.density(2)
+        assert src.__dict__["_blocks"][0] == 1
+
+    def test_site_count_zero_keeps_nothing(self):
+        make = KERNEL_SOURCES["nested_mixture"][0]
+        src = make()
+        src.density(3)
+        kept = src.__dict__["_blocks"]
+        with pytest.raises(ValueError, match="site count must be >= 1"):
+            src.density(0)
+        assert 0 not in src.__dict__["_densities"] and src.__dict__["_blocks"] is kept
+        assert src.density(5).entries.tobytes() == make().density(5).entries.tobytes()
+
+    def test_cap_lowered_after_a_warm_build_keeps_nothing(self, monkeypatch):
+        make = KERNEL_SOURCES["transformed"][0]
+        src = make()
+        src.density(3)
+        kept = src.__dict__["_blocks"]
+        monkeypatch.setenv(ss.operators.DENSE_CAP_ENV, "4")
+        for m in (3, 5):
+            with pytest.raises(CapExceededError):
+                src.density(m)
+        assert sorted(src.__dict__["_densities"]) == [3] and src.__dict__["_blocks"] is kept
+        monkeypatch.delenv(ss.operators.DENSE_CAP_ENV)
+        assert src.density(5).entries.tobytes() == make().density(5).entries.tobytes()
+
+    def test_misaligned_blocked_build_keeps_nothing(self):
+        make = KERNEL_SOURCES["blocked"][0]
+        src = make()
+        src.density(4)
+        with pytest.raises(AlignmentError):
+            src.density(3)
+        assert sorted(src.__dict__["_densities"]) == [4] and "_blocks" not in src.__dict__
+        assert src.density(6).entries.tobytes() == make().density(6).entries.tobytes()
+
+
+class TestBooleanCounts:
+    """A bool is an int to Python, but never a site count or a block length."""
+
+    @pytest.mark.parametrize("name", ["iid", "correlated", "transformed", "blocked"])
+    def test_density_rejects_bool_cold_or_warm(self, name):
+        src = cache_sources()[name]
+        for _ in range(2):
+            for flag in (True, False):
+                with pytest.raises(TypeError, match="site count must be an integer, not a boolean"):
+                    src.density(flag)
+            src.density(2)
+        assert sorted(src.__dict__["_densities"]) == [2]
+
+    @pytest.mark.parametrize("check", [ss.check_consistency, ss.check_stationarity])
+    @pytest.mark.parametrize(
+        "args, what", [((True,), "max_sites"), ((4, True), "block"), ((False, 1), "max_sites"), ((4, False), "block")]
+    )
+    def test_checks_reject_bool_counts(self, fleet, check, args, what):
+        with pytest.raises(TypeError, match=f"{what} must be an integer, not a boolean"):
+            check(fleet["iid"], *args)

@@ -1,6 +1,7 @@
 """The report comparison script: exact fields must match, floats are measured."""
 
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +115,24 @@ def test_higher_is_better_and_ties_are_no_win():
     assert not bench.judge_pairs([1.0] * 10, [2.0] * 10, "lower")["claim_holds"]
     with pytest.raises(ValueError):
         bench.judge_pairs([1.0], [1.0, 2.0], "lower")
+
+
+@pytest.mark.parametrize(
+    "change, better, bound, status",
+    [
+        ([p * 1.2 for p in PARENT_WALL], "lower", 0.25, "within"),  # 20 % worse, inside a 25 % bound
+        ([p * 1.3 for p in PARENT_WALL], "lower", 0.25, "regressed"),
+        ([p * 1.02 for p in PARENT_WALL], "lower", 0.05, "unresolved"),  # the parent's IQR is 6.5 % of its median
+        ([p / 2 for p in PARENT_WALL], "lower", 0.05, "within"),  # every change run beats every parent run
+        ([p * 1.3 for p in PARENT_WALL], "higher", 0.1, "within"),
+        ([p * 0.85 for p in PARENT_WALL], "higher", 0.1, "regressed"),
+    ],
+)
+def test_regression_check_against_the_bound(change, better, bound, status):
+    check = _load_tool("bench_pairs").judge_bound(PARENT_WALL, change, better, bound)
+    assert check["status"] == status
+    worse = (statistics.median(change) - 0.23) / 0.23 * (1 if better == "lower" else -1)
+    assert check["worse"] == pytest.approx(worse)
 
 
 STUB_WORKLOADS = '''

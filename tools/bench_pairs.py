@@ -10,8 +10,14 @@ end-to-end metric it prints each side's quartiles, how many pairs the
 change wins, and whether a gain may be claimed: the change wins at least
 9 in 10 pairs (and at least 10 pairs ran), and its median is better than
 the parent's by more than the parent's interquartile range.  It also
-prints the failed configs per side and the pairs whose report and CSV
-digests differ between the trees.  Exit code 0 after a complete run.
+prints each metric's regression check: "within" when the change's median
+is worse than the parent's by no more than the metric's ``bound`` in
+``BENCHMARK.json`` (a share of the parent's median), "regressed" when it
+is worse by more, and "unresolved" when the parent's interquartile range
+is wider than the bound, unless every run of the change is better than
+every run of the parent.  Above the table it prints the failed configs
+per side and the pairs whose report and CSV digests differ between the
+trees.  Exit code 0 after a complete run.
 """
 
 from __future__ import annotations
@@ -49,6 +55,22 @@ def judge_pairs(parent, change, better: str) -> dict:
     holds = len(parent) >= MIN_PAIRS and wins >= WIN_SHARE * len(parent) and gain > iqr
     return {"pairs": len(parent), "wins": wins, "parent": p_q, "change": c_q,
             "gain": gain, "parent_iqr": iqr, "claim_holds": holds}
+
+
+def judge_bound(parent, change, better: str, bound: float) -> dict:
+    """The regression check for one metric over paired runs: is the change's median
+    worse than the parent's by at most ``bound``, a share of the parent's median?"""
+    verdict = judge_pairs(parent, change, better)
+    sign = 1 if better == "lower" else -1
+    scale = abs(verdict["parent"][1]) or 1.0
+    worse = -verdict["gain"] / scale  # the change's median relative to the parent's, > 0 when worse
+    if max(sign * c for c in change) < min(sign * p for p in parent):
+        status = "within"  # every change run beats every parent run, however wide the spread
+    elif verdict["parent_iqr"] > bound * scale:
+        status = "unresolved"
+    else:
+        status = "within" if worse <= bound else "regressed"
+    return {"worse": worse, "bound": bound, "status": status}
 
 
 def run_one(root: Path, workload: str, seed: int, seconds: float) -> tuple:
@@ -98,13 +120,17 @@ def main(argv=None) -> int:
     print(f"workload {args.workload}, {len(args.seeds)} pairs, seeds {args.seeds}")
     print(f"failed configs: parent {failed['parent']}, change {failed['change']}")
     print(f"seeds whose report digests differ: {digest_mismatches or 'none'}")
-    print("metric\tbetter\tparent q1/median/q3\tchange q1/median/q3\twins\tclaim")
+    print("metric\tbetter\tparent q1/median/q3\tchange q1/median/q3\twins\tclaim\tregression")
     for metric in benchmark["end_to_end"]:
         name = metric["name"]
-        verdict = judge_pairs(values["parent"][name], values["change"][name], metric["better"])
+        runs = values["parent"][name], values["change"][name]
+        verdict = judge_pairs(*runs, metric["better"])
+        check = judge_bound(*runs, metric["better"], metric["bound"])
         quart = {side: "/".join(f"{v:.4g}" for v in verdict[side]) for side in trees}
         print(f"{name}\t{metric['better']}\t{quart['parent']}\t{quart['change']}\t"
-              f"{verdict['wins']}/{verdict['pairs']}\t{'holds' if verdict['claim_holds'] else 'no'}")
+              f"{verdict['wins']}/{verdict['pairs']}\t{'holds' if verdict['claim_holds'] else 'no'}\t"
+              f"{check['status']} ({abs(check['worse']):.1%} {'worse' if check['worse'] > 0 else 'better'}, "
+              f"bound {check['bound']:.0%})")
     return 0
 
 
