@@ -116,6 +116,12 @@ class ErgodicityReport:
     statistics holds the judged sequence (partial means for the averaged
     tests, raw correlations for strong mixing); deviations holds its
     distance from the limit at each horizon.
+
+    The three arrays are read-only.  One that arrives as a read-only ndarray
+    owning its data is held as it is, so pair_report's three reports share
+    one shifts array and weak mixing holds one array as both statistics and
+    deviations; anything else (a list, a writable array, a view of a larger
+    buffer) is copied first, so a caller's later writes never reach a report.
     """
 
     test: str
@@ -131,9 +137,11 @@ class ErgodicityReport:
 
     def __post_init__(self):
         for name in ("shifts", "statistics", "deviations"):
-            arr = np.array(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            if not (isinstance(arr, np.ndarray) and arr.flags.owndata and not arr.flags.writeable):
+                arr = np.array(arr)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def passed(self) -> bool:
@@ -196,6 +204,8 @@ def pair_report(
     devs = np.abs(means - target)
     strong = np.abs(corr - target)
     weak = np.cumsum(strong) / counts
+    for arr in (shifts, corr, means, devs, strong, weak):  # held by the reports as they are
+        arr.setflags(write=False)
 
     def report(test, statistics, deviations, decay=None):
         return ErgodicityReport(

@@ -86,6 +86,19 @@ class Operator:
         return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
 
 
+def _owned_operator(entries: np.ndarray, sites: int, site_dim: int) -> Operator:
+    """An Operator around a complex square matrix the library has just built and hands
+    over: frozen in place, with its shape checked against the site count, but neither
+    copied nor scanned for non-finite entries.  For sums of products of validated
+    states only; anything else goes through Operator."""
+    if sites < 1 or entries.dtype != complex or entries.shape != (site_dim**sites,) * 2:
+        raise ShapeMismatchError(f"{entries.dtype} matrix of shape {entries.shape} is no {site_dim}**{sites} operator")
+    entries.setflags(write=False)
+    op = object.__new__(Operator)
+    op.__dict__.update(entries=entries, sites=sites, site_dim=site_dim)  # past the frozen __setattr__
+    return op
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator(Operator):
     """An Operator checked to be a state; for states that enter from outside the library."""

@@ -18,8 +18,11 @@ rho_m = sum_h initial(h_1) P[h_1, h_2] .. P[h_m-1, h_m] S_h1 (x) .. (x) S_hm.
   sites has no chain; it acts on the base state and runs dense only.
 
 A source keeps each rho_m it builds for its own lifetime, so a repeat call
-returns the same read-only Operator: at most d^2/(d^2-1) times the largest
-state (4/3 for qubits), and a k-site transform's base keeps its own too.
+returns the same read-only Operator.  A chain's rho_m is wrapped as built,
+without a copy: its one-site states were validated once, and a convex sum
+of their products is a finite state.  The kept states take at most
+d^2/(d^2-1) times the largest state (4/3 for qubits), and a k-site
+transform's base keeps its own too.
 A chain source also keeps the n blocks one site short of the last state it
 built (n/d^2 times that state's memory), so the next site count costs one
 step of the chain, not m.
@@ -44,7 +47,7 @@ import numpy as np
 from .channels import KrausChannel, _block_sites, _require_trace_preserving, apply_channel, validate_alphabet
 from .classical import ClassicalProcess, MarkovProcess, _check_word_cap, _gap_array, classical_correlation_sweep
 from .errors import BackendError, ShapeMismatchError
-from .operators import DensityOperator, Operator, _check_cap, density_operator, trace_pairing
+from .operators import DensityOperator, Operator, _check_cap, _owned_operator, density_operator, trace_pairing
 
 SOURCE_CHECK_TOL = 1e-9
 
@@ -143,7 +146,9 @@ def _density(source, sites: int) -> Operator:
     """rho_m of a library source, built on the first call for m and kept with the source.
     The cap is checked on every call; a build that raises keeps nothing."""
     sites = _count(sites, "site count")
-    _check_cap(source.site_dim, sites)  # a site count below 1 fails in Operator, after one-site work
+    if sites < 1:
+        raise ValueError(f"site count must be >= 1, got {sites}")
+    _check_cap(source.site_dim, sites)
     built = source.__dict__.setdefault("_densities", {})
     if sites not in built:
         built[sites] = _build_density(source, sites)
@@ -153,7 +158,9 @@ def _density(source, sites: int) -> Operator:
 def _build_density(source, sites: int) -> Operator:
     """rho_m from the emission chain, or the k-site channel on the base state of a
     chainless source.  M_{m-1} is stepped from the blocks kept from the source's last
-    build when those are below it, else from M_0, and is kept once rho_m is built."""
+    build when those are below it, else from M_0, and is kept once rho_m is built.
+    A chain's rho_m is a convex sum of products of its validated one-site states, so it
+    is finite by construction and is frozen in place, not copied and scanned again."""
     chain = source.chain
     if chain is None:
         return apply_channel(source.channel, source.base.density(sites))
@@ -162,7 +169,7 @@ def _build_density(source, sites: int) -> Operator:
         level, mixed = 0, None
     for _ in range(level, sites - 1):
         mixed = _step(chain, mixed)
-    state = Operator(_chain_density(chain, mixed), sites, source.site_dim)
+    state = _owned_operator(_chain_density(chain, mixed), sites, source.site_dim)
     source.__dict__["_blocks"] = (sites - 1, mixed)
     return state
 

@@ -1,12 +1,15 @@
 """Numerical mixing tests: verdicts, decay fits, and sweep aggregation."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import spinsource as ss
 from spinsource.ergodicity import _verdict
 
-from conftest import FLEET_TRIPLES, NONORTHO
+from conftest import APERIODIC_T, FLEET_TRIPLES, NONORTHO
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +199,64 @@ class TestPairReport:
             assert mine.final_deviation == theirs.final_deviation
             assert mine.verdict == theirs.verdict
             assert mine.decay == theirs.decay
+
+
+class TestReportArrays:
+    """A pair's reports share the arrays pair_report built; arrays from callers are copied."""
+
+    @staticmethod
+    def user_report(shifts, statistics, deviations):
+        return ss.ErgodicityReport("ergodic_mean", 9, 0j, shifts, statistics, deviations, 0.0, 1e-2, "pass")
+
+    def test_user_report_copies_its_inputs(self):
+        shifts, stats, devs = np.arange(1, 10), np.linspace(0, 1, 9), np.full(9, 0.5)
+        report = self.user_report(shifts, stats, devs)
+        shifts[0], stats[0], devs[0] = 7, 7.0, 7.0
+        assert (report.shifts[0], report.statistics[0], report.deviations[0]) == (1, 0.0, 0.5)
+        for arr in (report.shifts, report.statistics, report.deviations):
+            assert not arr.flags.writeable
+
+    def test_user_report_copies_a_read_only_view(self):
+        buffer = np.linspace(0, 1, 18)
+        view = buffer[:9]
+        view.setflags(write=False)
+        report = self.user_report(np.arange(1, 10), view, view)
+        buffer[0] = 7.0
+        assert report.statistics[0] == report.deviations[0] == 0.0
+        assert report.statistics.flags.owndata and not report.statistics.flags.writeable
+
+    def test_user_report_holds_a_read_only_owning_array(self):
+        shifts = np.arange(1, 10)
+        shifts.setflags(write=False)
+        assert self.user_report(shifts, [0.0] * 9, [0.0] * 9).shifts is shifts
+
+    @pytest.mark.parametrize("backend", ["transfer", "dense"])
+    def test_pair_reports_share_their_arrays(self, fleet, indicator, backend):
+        pair = ss.pair_report(fleet["aperiodic"], indicator, indicator, n_max=9, backend=backend)
+        mean, weak, strong = pair.reports
+        assert mean.shifts is weak.shifts is strong.shifts
+        assert weak.statistics is weak.deviations
+        for report in pair.reports:
+            for arr in (report.shifts, report.statistics, report.deviations):
+                assert arr.flags.owndata and not arr.flags.writeable
+
+    def test_pair_report_keeps_each_array_once(self):
+        # shifts (int), corr and means (complex), and three float deviation sequences: 64 B a shift
+        source = ss.ClassicallyCorrelatedSource(ss.MarkovProcess(APERIODIC_T), ss.computational_alphabet(2))
+        a = ss.word_projector((0,))
+        ss.pair_report(source, a, a, n_max=100, backend="transfer")  # the chain and rho_1, kept by the source
+        n_max = 20000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pair = ss.pair_report(source, a, a, n_max=n_max, backend="transfer")
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert pair.strong_mixing.shifts.size == n_max
+        assert retained <= 66 * n_max
 
 
 class TestSweep:

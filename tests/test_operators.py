@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import spinsource as ss
 from spinsource.errors import CapExceededError, ShapeMismatchError
+from spinsource.operators import _owned_operator
 
 RHO = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
 
@@ -36,6 +37,47 @@ class TestConstruction:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             ss.as_operator([[np.nan, 0], [0, 1]])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+    def test_user_operator_rejects_non_finite(self, bad):
+        entries = np.eye(2, dtype=complex)
+        entries[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ss.Operator(entries, 1)
+
+    @pytest.mark.parametrize("kind", [ss.Operator, ss.DensityOperator])
+    def test_user_operator_copies_its_input(self, kind):
+        entries = RHO.copy()
+        op = kind(entries, 1)
+        entries[0, 0] = 9.0
+        assert op.entries is not entries and op.entries[0, 0] == 0.75
+        assert not op.entries.flags.writeable
+
+
+class TestOwnedOperator:
+    """The library's own states are frozen in place; only their shape is checked."""
+
+    def test_wraps_without_a_copy(self):
+        entries = np.kron(RHO, RHO)
+        op = _owned_operator(entries, 2, 2)
+        assert op.entries is entries and (op.sites, op.site_dim, op.dim) == (2, 2, 4)
+        assert isinstance(op, ss.Operator) and not entries.flags.writeable
+        with pytest.raises(ValueError):
+            entries[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "entries, sites",
+        [
+            (np.eye(4, dtype=complex), 1),  # side 4 is two qubit sites
+            (np.eye(2, dtype=complex), 0),
+            (np.ones((2, 4), dtype=complex), 1),
+            (np.eye(2), 1),  # a real matrix was not built as a state
+        ],
+    )
+    def test_checks_shape_and_site_count(self, entries, sites):
+        with pytest.raises(ShapeMismatchError):
+            _owned_operator(entries, sites, 2)
+        assert entries.flags.writeable
 
 
 class TestDensityValidation:

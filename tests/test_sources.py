@@ -708,6 +708,32 @@ class TestIncrementalBuild:
         assert src.density(6).entries.tobytes() == make().density(6).entries.tobytes()
 
 
+class TestLibraryStates:
+    """Every library state is read-only; a chain's are frozen as built, not checked again."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SOURCES))
+    def test_library_densities_are_read_only(self, name):
+        make, counts = KERNEL_SOURCES[name]
+        src = make()
+        for m in counts:
+            rho = src.density(m).entries
+            assert not rho.flags.writeable, m
+            with pytest.raises(ValueError):
+                rho[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", ["iid", "nested_mixture", "transformed", "d3"])
+    def test_chain_densities_skip_the_checked_constructor(self, name, monkeypatch):
+        make, counts = KERNEL_SOURCES[name]
+        src = make()
+        assert src.chain is not None  # building the chain checks its one-site states, once
+        checked = []
+        post_init = ss.Operator.__post_init__
+        monkeypatch.setattr(ss.Operator, "__post_init__", lambda op: checked.append(op) or post_init(op))
+        for m in counts:
+            src.density(m)
+        assert checked == []
+
+
 class TestBooleanCounts:
     """A bool is an int to Python, but never a site count or a block length."""
 
