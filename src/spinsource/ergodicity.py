@@ -24,7 +24,7 @@ no clear improvement, and everything in between stays inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,7 +38,8 @@ _DEFAULT_TOL = {"transfer": 1e-2, "dense": 5e-2}
 DECAY_FLOOR = 1e-13
 _ORDER = {"fail": 0, "inconclusive": 1, "pass": 2}
 _PROJECTOR_LIMIT = 8
-# about 200 bytes per (pair, shift) row through emission: a run stays near 1 GB; no override
+# a sweep keeps about 65 bytes per (pair, shift) row and peaks near 80, and emission adds
+# one chunk of rows, not a pair's: a run at the cap stays near 0.4 GB; no override
 _SWEEP_ROW_CAP = 5 * 10**6
 
 
@@ -117,11 +118,12 @@ class ErgodicityReport:
     tests, raw correlations for strong mixing); deviations holds its
     distance from the limit at each horizon.
 
-    The three arrays are read-only.  One that arrives as a read-only ndarray
-    owning its data is held as it is, so pair_report's three reports share
-    one shifts array and weak mixing holds one array as both statistics and
-    deviations; anything else (a list, a writable array, a view of a larger
-    buffer) is copied first, so a caller's later writes never reach a report.
+    The three arrays are read-only copies of what the caller passed, so no
+    later write by the caller, not even after setflags(write=True) on an
+    array it froze itself, reaches a report.  pair_report's reports are
+    built past this copy (_owned_report) and share the arrays it built and
+    froze: one shifts array for the three reports, and one array as weak
+    mixing's statistics and deviations.
     """
 
     test: str
@@ -137,15 +139,21 @@ class ErgodicityReport:
 
     def __post_init__(self):
         for name in ("shifts", "statistics", "deviations"):
-            arr = getattr(self, name)
-            if not (isinstance(arr, np.ndarray) and arr.flags.owndata and not arr.flags.writeable):
-                arr = np.array(arr)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
+
+
+def _owned_report(*values) -> ErgodicityReport:
+    """An ErgodicityReport over arrays pair_report has just built and frozen, held as
+    they are rather than copied; reports from anywhere else go through the class."""
+    report = object.__new__(ErgodicityReport)
+    report.__dict__.update(zip((f.name for f in fields(ErgodicityReport)), values))  # past the frozen __setattr__
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +216,7 @@ def pair_report(
         arr.setflags(write=False)
 
     def report(test, statistics, deviations, decay=None):
-        return ErgodicityReport(
+        return _owned_report(
             test, n_max, target, shifts, statistics, deviations,
             float(deviations[-1]), tol, _verdict(deviations, tol), decay,
         )

@@ -586,17 +586,26 @@ def _csv_field(value) -> str:
 
 
 def _float_strings(column) -> list:
-    """repr of each float64 in column, formatting each distinct bit pattern once.
+    """repr of each float64 in column, formatting each run of equal cells once.
 
-    Swept columns repeat heavily once a chain settles or cycles, and target
-    and iid columns are constant.  Runs of bitwise-equal neighbours collapse
-    to their heads in numpy; the heads are formatted through a dict keyed on
-    the bits, and each row looks up its run's string by an index that
-    np.repeat expands.  Keying on the bits keeps -0.0 apart from 0.0 and NaN
-    payloads exact.  A dict needs no sort, and the strings stay in a list:
-    the first call into numpy's sort kernels (np.unique), and an object
-    array of the strings expanded by np.repeat, each raise the peak RSS of
-    a run with small CSVs.
+    Runs of bitwise-equal neighbours collapse to their heads in numpy, and
+    the heads' bits map to their values in one dict.  How the heads are
+    formatted depends on that dict:
+
+    * when it holds more than half as many entries as there are runs, most
+      heads are distinct (a Cesaro mean creeping towards its limit), so each
+      head is formatted directly: a second dict would cost more lookups than
+      it saves repr calls;
+    * otherwise the column cycles or settles (period-2 correlations, target
+      and iid columns), and each distinct bit pattern is formatted once
+      through a dict keyed on the bits.
+
+    When every cell is its own run the head strings are the column's, and
+    the np.repeat index that expands runs to rows is skipped.  Keying on the
+    bits keeps -0.0 apart from 0.0 and NaN payloads exact.  A dict needs no
+    sort, and the strings stay in a list: the first call into numpy's sort
+    kernels (np.unique), and an object array of the strings expanded by
+    np.repeat, each raise the peak RSS of a run with small CSVs.
     """
     column = np.ascontiguousarray(column, dtype=np.float64)
     bits = column.view(np.uint64)
@@ -604,27 +613,43 @@ def _float_strings(column) -> list:
     np.not_equal(bits[1:], bits[:-1], out=heads[1:])
     starts = np.flatnonzero(heads)
     head_bits = bits[starts].tolist()
-    text = {b: repr(x) for b, x in dict(zip(head_bits, column[starts].tolist())).items()}
-    strings = list(map(text.__getitem__, head_bits))
+    head_values = column[starts].tolist()
+    values = dict(zip(head_bits, head_values))
+    if 2 * len(values) > len(head_bits):
+        strings = list(map(repr, head_values))
+    else:
+        text = {b: repr(x) for b, x in values.items()}
+        strings = list(map(text.__getitem__, head_bits))
+    if len(strings) == bits.size:
+        return strings
     runs = np.repeat(np.arange(starts.size), np.diff(starts, append=bits.size))
     return list(map(strings.__getitem__, runs.tolist()))
 
 
-def _decay_lines(pair) -> str:
-    """The pair's CSV rows, one per shift index, each ending in csv's "\r\n"."""
+# rows per chunk of the decay CSV: one chunk's cell and row strings are alive at once, not a pair's
+_CSV_CHUNK_ROWS = 8192
+
+
+def _decay_lines(pair):
+    """The pair's CSV rows, one per shift index, each ending in csv's "\r\n",
+    as one string per slice of _CSV_CHUNK_ROWS rows."""
     strong = pair.strong_mixing
     head = f"{_csv_field(pair.label)},"
     tail = f",{float(strong.target.real)!r},"
-    return "".join(
-        f"{head}{i},{re},{im}{tail}{dev},{mean}\r\n"
-        for i, re, im, dev, mean in zip(
-            strong.shifts.tolist(),
-            _float_strings(strong.statistics.real),
-            _float_strings(strong.statistics.imag),
-            _float_strings(strong.deviations),
-            _float_strings(pair.ergodic_mean.statistics.real),
-        )
+    columns = (
+        strong.statistics.real,
+        strong.statistics.imag,
+        strong.deviations,
+        pair.ergodic_mean.statistics.real,
     )
+    for start in range(0, strong.shifts.size, _CSV_CHUNK_ROWS):
+        rows = slice(start, start + _CSV_CHUNK_ROWS)
+        yield "".join([
+            f"{head}{i},{re},{im}{tail}{dev},{mean}\r\n"
+            for i, re, im, dev, mean in zip(
+                strong.shifts[rows].tolist(), *(_float_strings(c[rows]) for c in columns)
+            )
+        ])
 
 
 def emit_report(report: RunReport, output_dir=None) -> list:
@@ -646,7 +671,7 @@ def emit_report(report: RunReport, output_dir=None) -> list:
         with open(csv_path, "w", newline="") as fh:
             fh.write(",".join(CSV_HEADER) + "\r\n")
             for pair in report.sweep.pairs:
-                fh.write(_decay_lines(pair))
+                fh.writelines(_decay_lines(pair))
         written.append(csv_path)
     return written
 

@@ -25,7 +25,8 @@ d^2/(d^2-1) times the largest state (4/3 for qubits), and a k-site
 transform's base keeps its own too.
 A chain source also keeps the n blocks one site short of the last state it
 built (n/d^2 times that state's memory), so the next site count costs one
-step of the chain, not m.
+step of the chain, not m.  It keeps its hidden chain as one MarkovProcess
+too, built on the first transfer correlation.
 
 Correlations corr(gap) = tr(rho (a (x) I^gap (x) b)) run densely
 (explicit rho, gap sites traced out, then paired with a and b) or on the
@@ -375,9 +376,18 @@ def source_correlation(
             pair = np.einsum("agbcgd->abcd", rho.reshape(da, g, db, da, g, db))
             out[idx] = np.einsum("abcd,ca,db->", pair, a.entries, b.entries)
         return out
-    chain = source.chain
-    f, g = (_state_table(chain.states, x) for x in (a, b))
-    return classical_correlation_sweep(MarkovProcess(chain.transition, chain.initial), f, g, gaps)
+    f, g = (_state_table(source.chain.states, x) for x in (a, b))
+    return classical_correlation_sweep(_hidden_process(source), f, g, gaps)
+
+
+def _hidden_process(source) -> MarkovProcess:
+    """The hidden Markov chain of source's emission chain as a process, built on the
+    first transfer correlation and kept with the source, as its blocks are."""
+    kept = source.__dict__
+    if "_process" not in kept:
+        chain = source.chain
+        kept["_process"] = MarkovProcess(chain.transition, chain.initial)
+    return kept["_process"]
 
 
 # ---------------------------------------------------------------------------

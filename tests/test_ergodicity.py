@@ -225,10 +225,15 @@ class TestReportArrays:
         assert report.statistics[0] == report.deviations[0] == 0.0
         assert report.statistics.flags.owndata and not report.statistics.flags.writeable
 
-    def test_user_report_holds_a_read_only_owning_array(self):
-        shifts = np.arange(1, 10)
-        shifts.setflags(write=False)
-        assert self.user_report(shifts, [0.0] * 9, [0.0] * 9).shifts is shifts
+    def test_user_report_copies_a_read_only_owning_array(self):
+        # a caller's frozen array can be thawed again, so only pair_report's arrays are shared
+        a = np.arange(1.0, 10.0)
+        a.setflags(write=False)
+        report = self.user_report(np.arange(1, 10), a, a)
+        a.setflags(write=True)
+        a[0] = 42.0
+        assert report.statistics is not a and report.statistics[0] == report.deviations[0] == 1.0
+        assert not report.statistics.flags.writeable
 
     @pytest.mark.parametrize("backend", ["transfer", "dense"])
     def test_pair_reports_share_their_arrays(self, fleet, indicator, backend):

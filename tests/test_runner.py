@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import tracemalloc
 import weakref
@@ -384,8 +385,17 @@ class TestEmitReport:
         assert payload["toolkit_version"] == ss.__version__
         assert list(payload) == sorted(payload)
 
-    def test_csv_matches_csv_writer_reference(self, tmp_path):
+    @staticmethod
+    def crafted_report(pairs, output_dir):
+        """A run's report with its sweep's pairs swapped for the given ones."""
         base = run_experiment(markov_config(APERIODIC_T, "crafted", n_max=40))
+        return dataclasses.replace(
+            base,
+            config=dataclasses.replace(base.config, output_dir=str(output_dir)),
+            sweep=dataclasses.replace(base.sweep, pairs=pairs),
+        )
+
+    def test_csv_matches_csv_writer_reference(self, tmp_path):
         pairs = tuple(
             _crafted_pair(label, column, target)
             for label, column, target in (
@@ -396,16 +406,35 @@ class TestEmitReport:
                 ("", np.array([5e-324, 5e-324, -0.0, -0.0, 0.0]), complex(-np.inf, 0.0)),
             )
         )
-        report = dataclasses.replace(
-            base,
-            config=dataclasses.replace(base.config, output_dir=str(tmp_path / "new")),
-            sweep=dataclasses.replace(base.sweep, pairs=pairs),
-        )
+        report = self.crafted_report(pairs, tmp_path / "new")
         _, csv_path = emit_report(report)
         reference = tmp_path / "reference.csv"
         _reference_csv(report, reference)
         assert csv_path.read_bytes() == reference.read_bytes()
         assert b"\r\n" in reference.read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 10**6])
+    def test_csv_bytes_do_not_depend_on_the_chunk(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(ss.runner, "_CSV_CHUNK_ROWS", chunk)
+        self.test_csv_matches_csv_writer_reference(tmp_path)
+
+    def test_long_pair_is_written_in_chunks(self, tmp_path):
+        source = ss.ClassicallyCorrelatedSource(ss.MarkovProcess(APERIODIC_T), ss.computational_alphabet(2))
+        a, b = ss.random_observable(1, seed=5), ss.random_observable(1, seed=6)
+        pair = ss.pair_report(source, a, b, n_max=20000, backend="transfer", label="long")
+        report = self.crafted_report((pair,), tmp_path)
+        _, csv_path = emit_report(report)  # the first call sets up what later calls reuse
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            emit_report(report)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # a whole pair's row strings and their join alone take twice the file's bytes (3.1x
+        # measured with the cells' strings); one chunk of 8192 of the 20000 rows, about 1.3x
+        assert peak < 1.5 * csv_path.stat().st_size
 
     def test_payload_echo_reruns_identically(self, tmp_path):
         cfg = markov_config(APERIODIC_T, "rerun", n_max=80)
@@ -422,6 +451,7 @@ FLOAT_POOL = np.array([
     0xFFF8000000000002, 0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000001,
     0x800FFFFFFFFFFFFF,
 ], dtype=np.uint64).view(np.float64).tolist() + [0.1 + 0.2, -7.125, 1e16, 0.25]
+POOL_BITS = np.array(FLOAT_POOL).view(np.uint64).tolist()
 
 
 class TestFloatStrings:
@@ -441,6 +471,39 @@ class TestFloatStrings:
     def test_strided_view(self):
         column = np.repeat(np.array(FLOAT_POOL), 3)[::2]
         assert _float_strings(column) == [repr(x) for x in column.tolist()]
+
+    @settings(max_examples=300)
+    @given(st.lists(
+        st.tuples(st.one_of(st.sampled_from(POOL_BITS), st.integers(0, 2**64 - 1)), st.integers(1, 3)),
+        max_size=40,
+    ))
+    def test_mostly_distinct_columns(self, runs):
+        # arbitrary bit patterns rarely repeat, so most columns take the direct-repr branch
+        column = np.array([bits for bits, length in runs for _ in range(length)], dtype=np.uint64).view(np.float64)
+        assert _float_strings(column) == [repr(x) for x in column.tolist()]
+
+    @pytest.mark.parametrize(
+        "values, formatted",
+        [
+            ([0.1, 0.2, 0.3, 0.4], 4),  # every cell a distinct run: each head directly
+            ([1.0, 1.0, 2.0, 2.0, 3.0], 3),  # distinct runs: each head directly
+            ([1.0, 2.0, 1.0, 2.0, 3.0], 5),  # 3 values in 5 runs, more than half: each head
+            ([1.0, 2.0, 1.0, 2.0, 3.0, 4.0], 6),  # 4 values in 6 runs: each head
+            ([1.0, 2.0, 1.0, 2.0, 3.0, 4.0, 3.0, 4.0], 4),  # 4 values in 8 runs, just half: each value once
+            ([1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 3.0], 3),  # 3 values in 7 runs: each value once
+            ([0.5, -0.5] * 10, 2),  # a period-2 column: each value once
+        ],
+    )
+    def test_formats_heads_or_distinct_values(self, monkeypatch, values, formatted):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return repr(x)
+
+        monkeypatch.setattr(ss.runner, "repr", counting, raising=False)
+        assert _float_strings(np.array(values)) == [repr(x) for x in values]
+        assert len(calls) == formatted
 
 
 class TestCLI:

@@ -549,6 +549,24 @@ class TestDensityCache:
         fresh = ss.source_correlation(cache_sources()[name], a, b, gaps, "dense")
         assert first.tobytes() == fresh.tobytes() and second.tobytes() == fresh.tobytes()
 
+    @pytest.mark.parametrize("name", ["iid", "correlated", "transformed"])
+    def test_sweep_builds_the_hidden_process_once(self, monkeypatch, name):
+        src = cache_sources()[name]
+        src.chain  # built on first use, with its own processes
+        built, init = [], ss.MarkovProcess.__post_init__
+
+        def counting(process):
+            built.append(process)
+            init(process)
+
+        monkeypatch.setattr(ss.MarkovProcess, "__post_init__", counting)
+        sweeps = [ss.sweep_report(src, n_max=40, backend="transfer", random_pair_count=2, seed=s) for s in (3, 3)]
+        assert len(sweeps[0].pairs) > 1 and len(built) == 1
+        fresh = ss.sweep_report(cache_sources()[name], n_max=40, backend="transfer", random_pair_count=2, seed=3)
+        for sweep in sweeps:
+            for pair, other in zip(sweep.pairs, fresh.pairs):
+                assert pair.strong_mixing.statistics.tobytes() == other.strong_mixing.statistics.tobytes()
+
 
 def kron_correlation(source, a, b, gap) -> complex:
     """The paper's tr(rho (a (x) 1^(x gap) (x) b)), with the padded operator built in full."""
