@@ -6,9 +6,12 @@
 Each config produces a structured JSON report and a decay CSV next to
 it (see runner module for the schema).  Every config is loaded before
 any runs; one that would write the same files as an earlier one is a
-config error and does not run.  Exit code: 0 when every selected check
-and test verdict of every config is pass, 1 when any is not, 2 on
-config errors, 3 when a resource cap was hit.
+config error and does not run.  --jobs runs configs in threads; a long
+decay CSV is formatted in forked processes only while one thread runs (see
+runner.emit_report), and the bytes are the same either way.  Exit code: 0
+when every selected check and test verdict of every config is pass, 1 when
+any is not, 2 on config errors and bad arguments, 3 when a resource cap
+was hit.
 """
 
 from __future__ import annotations
@@ -27,6 +30,17 @@ EXIT_CONFIG_ERROR = 2
 EXIT_CAP_ERROR = 3
 
 
+def _job_count(text: str) -> int:
+    """--jobs J: an integer of at least 1; argparse exits 2 on anything else."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinsource",
@@ -40,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=["auto", "dense", "transfer"], help="override the backend"
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="run up to J configs concurrently"
+        "--jobs", type=_job_count, default=1, metavar="J",
+        help="run up to J (at least 1) configs concurrently, in threads; a long decay CSV "
+        "is formatted in forked processes only while one thread runs, with the same bytes",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="per-pair verdicts")
     return parser
@@ -110,7 +126,7 @@ def main(argv=None) -> int:
             loaded.append(config)
         except (ConfigError, CapExceededError) as exc:
             loaded.append(_failure(exc))
-    if args.jobs <= 1 or len(loaded) == 1:
+    if args.jobs == 1 or len(loaded) == 1:
         results = [_run_one(item) for item in loaded]
     else:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:

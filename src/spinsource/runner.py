@@ -45,6 +45,14 @@ checks' sources._check_plan (the dense side site_dim**max_sites on every
 backend; max_sites: check_sites in whole channel blocks), then sweep_report's
 ergodicity._sweep_plan.
 The channel's Kraus count (KRAUS_COUNT_CAP) is checked as it is decoded.
+
+emit_report formats a long decay CSV on every CPU the process may run on:
+on Linux, with more than one such CPU, at least _FORK_MIN_ROWS rows and no
+other Python thread alive (the CLI's --jobs pool keeps it serial), the rows
+are cut in file order into contiguous shares; forked children write theirs
+into anonymous memory files (memfd_create), and this process writes the
+header and the first share and appends the others in order.  The bytes do
+not depend on how many processes wrote them.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -628,11 +638,16 @@ def _float_strings(column) -> list:
 
 # rows per chunk of the decay CSV: one chunk's cell and row strings are alive at once, not a pair's
 _CSV_CHUNK_ROWS = 8192
+# fewest CSV rows worth forked formatters.  On 2 cores at 99 MB resident, two
+# processes broke even with one near 8192 rows (23 against 24 ms) and saved a
+# third at 16384 (36 against 52 ms); the fork, the copy-on-write faults and
+# the append cost about as much as formatting a few thousand rows
+_FORK_MIN_ROWS = 2 * _CSV_CHUNK_ROWS
 
 
-def _decay_lines(pair):
-    """The pair's CSV rows, one per shift index, each ending in csv's "\r\n",
-    as one string per slice of _CSV_CHUNK_ROWS rows."""
+def _decay_lines(pair, start=0, stop=None):
+    """The pair's CSV rows start..stop-1, one per shift index, each ending in
+    csv's "\r\n", as one string per slice of _CSV_CHUNK_ROWS rows."""
     strong = pair.strong_mixing
     head = f"{_csv_field(pair.label)},"
     tail = f",{float(strong.target.real)!r},"
@@ -642,8 +657,9 @@ def _decay_lines(pair):
         strong.deviations,
         pair.ergodic_mean.statistics.real,
     )
-    for start in range(0, strong.shifts.size, _CSV_CHUNK_ROWS):
-        rows = slice(start, start + _CSV_CHUNK_ROWS)
+    stop = strong.shifts.size if stop is None else stop
+    for first in range(start, stop, _CSV_CHUNK_ROWS):
+        rows = slice(first, min(first + _CSV_CHUNK_ROWS, stop))
         yield "".join([
             f"{head}{i},{re},{im}{tail}{dev},{mean}\r\n"
             for i, re, im, dev, mean in zip(
@@ -652,11 +668,97 @@ def _decay_lines(pair):
         ])
 
 
-def emit_report(report: RunReport, output_dir=None) -> list:
-    """Write <name>.report.json (and <name>.decay.csv when a sweep ran).
+def _write_rows(fh, pairs, start, stop) -> None:
+    """Write the CSV body's rows start..stop-1, counted across pairs in file order."""
+    offset = 0
+    for pair in pairs:
+        size = pair.strong_mixing.shifts.size
+        if start < offset + size and offset < stop:
+            fh.writelines(_decay_lines(pair, max(start - offset, 0), min(stop - offset, size)))
+        offset += size
 
+
+def _csv_workers(rows: int) -> int:
+    """How many processes format a decay CSV of rows rows.
+
+    More than one only on Linux (memfd_create), with more than one CPU to
+    run on, at least _FORK_MIN_ROWS rows, and no other Python thread alive:
+    a fork copies only the calling thread, so a thread pool (the CLI's
+    --jobs) keeps formatting in this process.
+    """
+    if rows < _FORK_MIN_ROWS or not hasattr(os, "memfd_create") or threading.active_count() != 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), rows // _CSV_CHUNK_ROWS)
+
+
+def _fork_share(pairs, start, stop) -> tuple:
+    """(pid, memfd) of a child that writes rows start..stop-1 into the memfd.
+
+    The child leaves through os._exit, 0 on success and 1 on any exception,
+    so it runs no atexit handler and flushes none of this process's buffers.
+    """
+    memfd = os.memfd_create("decay-csv")
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(memfd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            with open(memfd, "w", newline="", closefd=False) as out:
+                _write_rows(out, pairs, start, stop)
+            code = 0
+        finally:
+            os._exit(code)
+    return pid, memfd
+
+
+def _write_body(fh, pairs) -> None:
+    """Write every pair's rows to fh, cut in file order into one contiguous
+    share per _csv_workers process: this process writes the first share and
+    forked children the others, each into a memfd that is appended in order
+    once its child is reaped.  The bytes do not depend on the cut, and no
+    child outlives the call: on any exception the children left are killed
+    and reaped."""
+    rows = sum(pair.strong_mixing.shifts.size for pair in pairs)
+    workers = _csv_workers(rows)
+    bounds = [rows * k // workers for k in range(workers + 1)]
+    children = []
+    try:
+        for k in range(1, workers):
+            children.append(_fork_share(pairs, bounds[k], bounds[k + 1]))
+        _write_rows(fh, pairs, 0, bounds[1])
+        while children:
+            pid, memfd = children[0]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            try:
+                if code != 0:
+                    raise OSError(f"decay CSV worker {pid} exited with status {code}")
+                fh.flush()
+                sent, size = 0, os.fstat(memfd).st_size
+                while sent < size:
+                    sent += os.sendfile(fh.fileno(), memfd, sent, size - sent)
+            finally:
+                os.close(memfd)
+    finally:
+        if children:
+            import signal  # here, not above: its enums cost every import of the package ~1.3 ms
+
+            for pid, memfd in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(memfd)
+
+
+def emit_report(report: RunReport, output_dir=None) -> list:
+    """Write <name>.report.json, and <name>.decay.csv when a mixing test ran.
+
+    A run without one removes a <name>.decay.csv left by an earlier run of
+    the same name, so the directory never pairs a report with a stale CSV.
     Returns the written paths.  Identical reports produce byte-identical
-    files.
+    files, however many processes format the CSV (_write_body).
     """
     directory = Path(output_dir if output_dir is not None else report.config.output_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -666,13 +768,14 @@ def emit_report(report: RunReport, output_dir=None) -> list:
         json.dumps(report.payload(), sort_keys=True, indent=2) + "\n"
     )
     written.append(json_path)
+    csv_path = directory / f"{report.config.name}.decay.csv"
     if report.sweep is not None and report.sweep.pairs:
-        csv_path = directory / f"{report.config.name}.decay.csv"
         with open(csv_path, "w", newline="") as fh:
             fh.write(",".join(CSV_HEADER) + "\r\n")
-            for pair in report.sweep.pairs:
-                fh.writelines(_decay_lines(pair))
+            _write_body(fh, report.sweep.pairs)
         written.append(csv_path)
+    else:
+        csv_path.unlink(missing_ok=True)
     return written
 
 

@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import gc
 import json
+import os
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -436,12 +439,142 @@ class TestEmitReport:
         # measured with the cells' strings); one chunk of 8192 of the 20000 rows, about 1.3x
         assert peak < 1.5 * csv_path.stat().st_size
 
+    def test_run_without_mixing_tests_removes_the_stale_csv(self, tmp_path):
+        first = emit_report(run_experiment(iid_config(name="stale", output_dir=str(tmp_path))))
+        assert [p.name for p in first] == ["stale.report.json", "stale.decay.csv"]
+        report = run_experiment(iid_config(name="stale", tests=["consistency"], output_dir=str(tmp_path)))
+        assert report.sweep is None
+        assert emit_report(report) == [first[0]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stale.report.json"]
+        assert emit_report(report) == [first[0]]  # nothing to remove is fine too
+
     def test_payload_echo_reruns_identically(self, tmp_path):
         cfg = markov_config(APERIODIC_T, "rerun", n_max=80)
         first = run_experiment(cfg)
         echoed = ExperimentConfig.from_dict(first.payload()["config"])
         second = run_experiment(echoed)
         assert first.payload() == second.payload()
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    """A list that gains an entry at each os.fork call."""
+    calls = []
+    real = os.fork
+
+    def counting():
+        calls.append(None)
+        return real()
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+def _split_pairs():
+    """Crafted pairs of 1 to 20 rows (47 in all) with every special float,
+    1-row pairs among them; the pairs end after rows 1, 21, 22, 31, 42 and 47."""
+    return tuple(
+        _crafted_pair(label, column, target)
+        for label, column, target in (
+            ("one", CRAFTED_COLUMN[:1], complex(0.5, 0.0)),
+            ("a,b", CRAFTED_COLUMN, complex(-0.0, 1.0)),
+            ("", CRAFTED_COLUMN[7:8], complex(np.nan, 0.0)),
+            ('say "hi"', np.full(9, 0.3), complex(1e16, -5e-324)),
+            ("two\nlines", np.linspace(-1.0, 1.0, 11), complex(-np.inf, 0.0)),
+            ("last", CRAFTED_COLUMN[::-4], complex(0.1 + 0.2, 0.0)),
+        )
+    )
+
+
+class TestForkedCSV:
+    """A long decay CSV is cut into shares that forked children format; the
+    bytes do not show it, and no child outlives emit_report."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch, fork_calls):
+        """Every report forks from its first row, up to a worker per row; os.fork calls are counted."""
+        monkeypatch.setattr(ss.runner, "_FORK_MIN_ROWS", 1)
+        monkeypatch.setattr(ss.runner, "_CSV_CHUNK_ROWS", 1)
+        return fork_calls
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def emit_split(tmp_path):
+        """(written CSV bytes, csv.writer's bytes) of the split pairs' report."""
+        report = TestEmitReport.crafted_report(_split_pairs(), tmp_path / "new")
+        _, csv_path = emit_report(report)
+        _reference_csv(report, tmp_path / "reference.csv")
+        return csv_path.read_bytes(), (tmp_path / "reference.csv").read_bytes()
+
+    # cuts: 2 workers after row 23 (inside a pair), 3 after 15 and 31 (a pair's end),
+    # 4 after 11, 23 and 35, 47 after every row (each 1-row pair a share of its own);
+    # chunk 7 leaves 6 chunks for 3 CPUs, cut after rows 15 and 31
+    @pytest.mark.parametrize("cpus, chunk", [(2, 1), (3, 1), (4, 1), (47, 1), (3, 7)])
+    def test_bytes_do_not_depend_on_the_workers(self, tmp_path, monkeypatch, forks, cpus, chunk):
+        monkeypatch.setattr(ss.runner, "_CSV_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        written, reference = self.emit_split(tmp_path)
+        assert written == reference
+        assert len(forks) == min(cpus, 47 // chunk) - 1
+        self.assert_no_children()
+
+    def test_long_report_forks_at_the_threshold(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert ss.runner._csv_workers(2 * ss.runner._CSV_CHUNK_ROWS - 1) == 1
+        assert ss.runner._csv_workers(2 * ss.runner._CSV_CHUNK_ROWS) == 2
+        assert ss.runner._csv_workers(10**6) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert ss.runner._csv_workers(10**6) == 1
+        monkeypatch.delattr(os, "memfd_create")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert ss.runner._csv_workers(10**6) == 1
+
+    def test_failing_child_raises_and_is_reaped(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real = ss.runner._write_rows
+
+        def child_fails(fh, pairs, start, stop):
+            if start > 0:
+                raise RuntimeError("child share")
+            real(fh, pairs, start, stop)
+        monkeypatch.setattr(ss.runner, "_write_rows", child_fails)
+        with pytest.raises(OSError, match="exited with status 1"):
+            self.emit_split(tmp_path)
+        assert len(forks) == 1
+        self.assert_no_children()
+
+    def test_failing_parent_share_kills_and_reaps_every_child(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        real = ss.runner._write_rows
+
+        def parent_fails(fh, pairs, start, stop):
+            if start == 0:
+                raise RuntimeError("parent share")
+            time.sleep(60)  # a child that is not killed holds the test up a minute
+            real(fh, pairs, start, stop)
+        monkeypatch.setattr(ss.runner, "_write_rows", parent_fails)
+        began = time.perf_counter()
+        with pytest.raises(RuntimeError, match="parent share"):
+            self.emit_split(tmp_path)
+        assert time.perf_counter() - began < 30
+        assert len(forks) == 3
+        self.assert_no_children()
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            written, reference = self.emit_split(tmp_path)
+        finally:
+            release.set()
+            other.join()
+        assert written == reference
+        assert forks == []
 
 
 # bit patterns a decay column can hold: both zeros, NaNs with three payloads, both
@@ -594,7 +727,7 @@ class TestCLI:
         assert code == 2
         assert "n_max" in err and "block_sites=6" in err and "Traceback" not in err
 
-    def test_parallel_jobs_byte_identical(self, tmp_path):
+    def test_parallel_jobs_byte_identical(self, tmp_path, monkeypatch, fork_calls):
         p1 = self.write_config(tmp_path, name="par_a")
         p2 = self.write_config(
             tmp_path,
@@ -605,12 +738,29 @@ class TestCLI:
                 "alphabet": "computational",
             },
         )
+        # 3 pairs (proj_0, proj_1, rand_0) of 6000 shifts: past the rows at which a
+        # lone thread forks to format its CSV
+        p3 = self.write_config(tmp_path, name="par_long", n_max=6000)
+        assert 3 * 6000 >= ss.runner._FORK_MIN_ROWS
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         serial = tmp_path / "serial"
         threaded = tmp_path / "threaded"
-        assert cli.main([str(p1), str(p2), "--output-dir", str(serial)]) == 0
-        assert cli.main([str(p1), str(p2), "--output-dir", str(threaded), "--jobs", "2"]) == 0
-        for name in ("par_a.report.json", "par_a.decay.csv", "par_b.report.json", "par_b.decay.csv"):
-            assert (serial / name).read_bytes() == (threaded / name).read_bytes()
+        assert cli.main([str(p1), str(p2), str(p3), "--output-dir", str(serial)]) == 0
+        assert len(fork_calls) == 1  # par_long only
+        assert cli.main([str(p1), str(p2), str(p3), "--output-dir", str(threaded), "--jobs", "2"]) == 0
+        assert len(fork_calls) == 1  # threads run: every CSV is formatted serially
+        for name in ("par_a", "par_b", "par_long"):
+            for suffix in (".report.json", ".decay.csv"):
+                assert (serial / (name + suffix)).read_bytes() == (threaded / (name + suffix)).read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        path = self.write_config(tmp_path, name="cli_jobs")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([str(path), "--output-dir", str(tmp_path), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "cli_jobs.report.json").exists()
 
     # block_sites 1 keeps the dense sweep to 3 pairs on at most 9 sites;
     # block_sites 2 would apply the channel to 10-site states for 5 pairs
