@@ -53,6 +53,12 @@ are cut in file order into contiguous shares; forked children write theirs
 into anonymous memory files (memfd_create), and this process writes the
 header and the first share and appends the others in order.  The bytes do
 not depend on how many processes wrote them.
+
+Report files are UTF-8 whatever the locale.  A rerun writes each file over
+the earlier run's bytes in place and cuts it at its new end, rather than
+truncating it to zero first, which some filesystems (ext4) make costly;
+an exception while writing still leaves only the new bytes, but a process
+killed mid-write can leave the new bytes followed by the old file's tail.
 """
 
 from __future__ import annotations
@@ -706,7 +712,7 @@ def _fork_share(pairs, start, stop) -> tuple:
     if pid == 0:
         code = 1
         try:
-            with open(memfd, "w", newline="", closefd=False) as out:
+            with open(memfd, "w", encoding="utf-8", newline="", closefd=False) as out:
                 _write_rows(out, pairs, start, stop)
             code = 0
         finally:
@@ -752,6 +758,27 @@ def _write_body(fh, pairs) -> None:
                 os.close(memfd)
 
 
+@contextmanager
+def _rewritten(path, newline=None):
+    """A UTF-8 text file written over path's old bytes from the start, cut at
+    the end of this write when the block ends, whether it ends or raises.
+
+    Opening without O_TRUNC spares the filesystem a truncate to zero before
+    every rerun into the same directory.  The end is read from the descriptor
+    (lseek): _write_body appends with sendfile, past the text layer's writes.
+    """
+    # O_BINARY (Windows only, 0 elsewhere): the C runtime must not turn "\n" into "\r\n" again
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            try:
+                fh.flush()
+            finally:
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def emit_report(report: RunReport, output_dir=None) -> list:
     """Write <name>.report.json, and <name>.decay.csv when a mixing test ran.
 
@@ -759,18 +786,22 @@ def emit_report(report: RunReport, output_dir=None) -> list:
     the same name, so the directory never pairs a report with a stale CSV.
     Returns the written paths.  Identical reports produce byte-identical
     files, however many processes format the CSV (_write_body).
+
+    Both files are UTF-8, written over an earlier run's bytes in place and
+    cut at their new end (_rewritten); an exception while writing leaves
+    only the new bytes.  A process killed mid-write (SIGKILL, power loss)
+    can leave the new bytes followed by the tail of the earlier file.
     """
     directory = Path(output_dir if output_dir is not None else report.config.output_dir)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     json_path = directory / f"{report.config.name}.report.json"
-    json_path.write_text(
-        json.dumps(report.payload(), sort_keys=True, indent=2) + "\n"
-    )
+    with _rewritten(json_path) as fh:
+        fh.write(json.dumps(report.payload(), sort_keys=True, indent=2) + "\n")
     written.append(json_path)
     csv_path = directory / f"{report.config.name}.decay.csv"
     if report.sweep is not None and report.sweep.pairs:
-        with open(csv_path, "w", newline="") as fh:
+        with _rewritten(csv_path, newline="") as fh:
             fh.write(",".join(CSV_HEADER) + "\r\n")
             _write_body(fh, report.sweep.pairs)
         written.append(csv_path)

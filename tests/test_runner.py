@@ -1,10 +1,15 @@
 """Experiment configs, reports, emitted files, and the command line."""
 
+import builtins
 import csv
 import dataclasses
 import gc
 import json
 import os
+import stat
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -274,7 +279,7 @@ def _crafted_pair(label, column, target):
 
 def _reference_csv(report, path):
     """The decay CSV as csv.writer writes it, one row at a time."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for pair in report.sweep.pairs:
@@ -448,12 +453,122 @@ class TestEmitReport:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["stale.report.json"]
         assert emit_report(report) == [first[0]]  # nothing to remove is fine too
 
+    def test_rerun_over_a_longer_report_equals_a_fresh_one(self, tmp_path):
+        assert_rerun_equals_fresh(tmp_path)
+
+    def test_failing_write_cuts_the_older_file_at_the_new_bytes(self, tmp_path, monkeypatch):
+        paths = emit_report(longer_report(), tmp_path / "new")
+        fresh = [p.read_bytes() for p in emit_report(self.crafted_report(_split_pairs(), tmp_path / "fresh"))]
+        real = ss.runner._write_rows
+
+        def fails_midway(fh, pairs, start, stop):
+            real(fh, pairs, start, start + 10)
+            raise RuntimeError("midway")
+        monkeypatch.setattr(ss.runner, "_write_rows", fails_midway)
+        with pytest.raises(RuntimeError, match="midway"):
+            emit_report(self.crafted_report(_split_pairs(), tmp_path / "new"))
+        assert paths[0].read_bytes() == fresh[0]
+        assert_new_prefix_only(paths[1].read_bytes(), fresh[1], rows=10)
+
+    def test_rerun_opens_without_truncating(self, tmp_path, monkeypatch):
+        cfg = markov_config(APERIODIC_T, "spied", output_dir=str(tmp_path))
+        paths = {str(p) for p in emit_report(run_experiment(cfg))}
+        flags, modes = {}, []
+        real_os_open, real_open = os.open, builtins.open
+
+        def os_open(path, flag, *args, **kwargs):
+            flags[str(path)] = flag
+            return real_os_open(path, flag, *args, **kwargs)
+
+        def spied_open(file, mode="r", *args, **kwargs):
+            modes.append((str(file), mode))
+            return real_open(file, mode, *args, **kwargs)
+        monkeypatch.setattr(os, "open", os_open)
+        monkeypatch.setattr(builtins, "open", spied_open)
+        emit_report(run_experiment(cfg))
+        monkeypatch.undo()
+        assert set(flags) == paths
+        assert not any(flag & os.O_TRUNC for flag in flags.values())
+        assert not [(file, mode) for file, mode in modes if file in paths and "w" in mode]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_files_get_the_mode_open_gives(self, tmp_path, umask):
+        cfg = markov_config(APERIODIC_T, "modes", n_max=20, output_dir=str(tmp_path))
+        report = run_experiment(cfg)
+        old = os.umask(umask)
+        try:
+            paths = emit_report(report)
+            with open(tmp_path / "reference", "w"):
+                pass
+        finally:
+            os.umask(old)
+        expected = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+        assert expected == 0o666 & ~umask
+        assert [stat.S_IMODE(p.stat().st_mode) for p in paths] == [expected, expected]
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        """Emitted under the C locale, a non-ASCII label is written as UTF-8, serially and forked."""
+        script = textwrap.dedent(f"""
+            import os, sys
+            sys.path.insert(0, {os.path.dirname(os.path.dirname(ss.__file__))!r})
+            sys.path.insert(0, {os.path.dirname(__file__)!r})
+            import spinsource as ss
+            import locale
+            from test_runner import unicode_report
+            assert locale.getpreferredencoding(False) != "UTF-8"
+            ss.runner.emit_report(unicode_report(), {str(tmp_path / "serial")!r})
+            ss.runner._FORK_MIN_ROWS = ss.runner._CSV_CHUNK_ROWS = 1
+            os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+            forks, fork = [], os.fork
+            os.fork = lambda: forks.append(None) or fork()
+            ss.runner.emit_report(unicode_report(), {str(tmp_path / "forked")!r})
+            assert len(forks) == 2
+        """)
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        env.pop("PYTHONIOENCODING", None)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+        paths = emit_report(unicode_report(), tmp_path / "here")
+        expected = [p.read_bytes() for p in paths]
+        assert "ρ⊗σ".encode() in expected[1]
+        for side in ("serial", "forked"):
+            assert [(tmp_path / side / p.name).read_bytes() for p in paths] == expected
+
     def test_payload_echo_reruns_identically(self, tmp_path):
         cfg = markov_config(APERIODIC_T, "rerun", n_max=80)
         first = run_experiment(cfg)
         echoed = ExperimentConfig.from_dict(first.payload()["config"])
         second = run_experiment(echoed)
         assert first.payload() == second.payload()
+
+
+def unicode_report():
+    """A short report whose one pair is labelled with non-ASCII characters."""
+    source = ss.ClassicallyCorrelatedSource(ss.MarkovProcess(APERIODIC_T), ss.computational_alphabet(2))
+    a, b = ss.random_observable(1, seed=5), ss.random_observable(1, seed=6)
+    pair = ss.pair_report(source, a, b, n_max=30, backend="transfer", label="ρ⊗σ")
+    return TestEmitReport.crafted_report((pair,), ".")
+
+
+def longer_report():
+    """A report named like crafted_report's whose JSON and CSV are both longer than the split pairs'."""
+    return run_experiment(markov_config(APERIODIC_T, "crafted", n_max=400, observable_count=8))
+
+
+def assert_rerun_equals_fresh(tmp_path):
+    """A long report, then a shorter one of the same name, over it: both files equal a fresh directory's."""
+    longer = longer_report()
+    shorter = TestEmitReport.crafted_report(_split_pairs(), tmp_path / "fresh")
+    sizes = [p.stat().st_size for p in emit_report(longer, tmp_path / "rerun")]
+    rerun = emit_report(shorter, tmp_path / "rerun")
+    fresh = emit_report(shorter)
+    assert all(p.stat().st_size < size for p, size in zip(rerun, sizes))
+    assert [p.read_bytes() for p in rerun] == [p.read_bytes() for p in fresh]
+
+
+def assert_new_prefix_only(written, fresh, rows):
+    """written is the header and the first rows rows of fresh, and nothing after them."""
+    lines = fresh.split(b"\r\n")
+    assert written == b"\r\n".join(lines[: 1 + rows]) + b"\r\n"
 
 
 @pytest.fixture
@@ -521,6 +636,12 @@ class TestForkedCSV:
         assert len(forks) == min(cpus, 47 // chunk) - 1
         self.assert_no_children()
 
+    def test_rerun_over_a_longer_report_equals_a_fresh_one(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert_rerun_equals_fresh(tmp_path)
+        assert len(forks) == 3 * 2  # three emissions, each with two forked shares
+        self.assert_no_children()
+
     def test_long_report_forks_at_the_threshold(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert ss.runner._csv_workers(2 * ss.runner._CSV_CHUNK_ROWS - 1) == 1
@@ -534,6 +655,8 @@ class TestForkedCSV:
 
     def test_failing_child_raises_and_is_reaped(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        csv_path = emit_report(longer_report(), tmp_path / "new")[1]
+        forks.clear()
         real = ss.runner._write_rows
 
         def child_fails(fh, pairs, start, stop):
@@ -545,6 +668,9 @@ class TestForkedCSV:
             self.emit_split(tmp_path)
         assert len(forks) == 1
         self.assert_no_children()
+        _reference_csv(TestEmitReport.crafted_report(_split_pairs(), tmp_path), tmp_path / "reference.csv")
+        # this process wrote the header and its share of 23 of the 47 rows before the child's status
+        assert_new_prefix_only(csv_path.read_bytes(), (tmp_path / "reference.csv").read_bytes(), rows=23)
 
     def test_failing_parent_share_kills_and_reaps_every_child(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})

@@ -1,6 +1,7 @@
 """The report comparison script: exact fields must match, floats are measured."""
 
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -73,6 +74,22 @@ def test_missing_file_and_csv_rows_mismatch(tmp_path):
     result = _compare(a, b)
     assert result.returncode == 1
     assert "only in A" in result.stdout and "run.decay.csv rows" in result.stdout
+
+
+def test_reports_are_read_as_utf8_whatever_the_locale(tmp_path):
+    labelled = CSV.replace("proj_0", "ρ⊗σ")
+    dirs = []
+    for name, text in (("a", labelled), ("b", labelled.replace("0.25", repr(0.25 + 2**-54)))):
+        directory = _write(tmp_path / name, REPORT)
+        (directory / "run.decay.csv").write_text(text, encoding="utf-8", newline="")
+        dirs.append(str(directory))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), *dirs], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert "corr_real\t5.551e-17" in result.stdout
 
 
 def _load_tool(name: str):

@@ -115,11 +115,11 @@ class Comparison:
         for name in sorted(files_a & files_b):
             pa, pb = root_a / name, root_b / name
             if name.endswith(".report.json"):
-                a, b = (json.loads(p.read_text()) for p in (pa, pb))
+                a, b = (json.loads(p.read_text(encoding="utf-8")) for p in (pa, pb))
                 json_max, json_at = self.json_file(name, a, b)
                 self.by_file[name] = (json_max, json_at, None)
             else:
-                a, b = (list(csv.reader(p.open(newline=""))) for p in (pa, pb))
+                a, b = (list(csv.reader(p.open(newline="", encoding="utf-8"))) for p in (pa, pb))
                 self.by_file[name] = (None, "", self.csv_file(name, a, b))
 
     def print(self, out=sys.stdout) -> None:
