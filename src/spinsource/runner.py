@@ -7,9 +7,12 @@ byte-identical files within one numpy/BLAS build: every random quantity
 is seeded, dict keys are sorted, and wall time is kept off the serialized
 payload.
 
-Config schema (JSON object; defaults in parentheses):
+Config schema (a JSON object in a UTF-8 file, whatever the locale; defaults
+in parentheses):
 
-    name              report file stem (required)
+    name              report file stem (required), in characters the file
+                      system's encoding holds (only ASCII under the C locale
+                      without Python's UTF-8 mode)
     site_dim          local dimension d (2)
     seed              integer, required; no wall-clock entropy
     source            {"kind": "iid", "state": MATRIX}
@@ -187,9 +190,11 @@ def _is_reals(value) -> bool:
 def _read_json(path):
     path = Path(path)
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -304,6 +309,10 @@ class ExperimentConfig:
         name = _require(raw, "name", "name")
         if not isinstance(name, str) or not name or "/" in name:
             raise ConfigError("name must be a nonempty string without '/'", "name")
+        try:
+            os.fsencode(name)  # the report's file stem: the C locale's file names are ASCII
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"{name!r} is no file name in this locale's encoding ({exc.encoding})", "name") from exc
         seed = _require(raw, "seed", "seed")
         if not _is_int(seed) or seed < 0:
             raise ConfigError("seed must be an integer >= 0 (and is mandatory)", "seed")

@@ -28,12 +28,14 @@ built (n/d^2 times that state's memory), so the next site count costs one
 step of the chain, not m.  It keeps its hidden chain as one MarkovProcess
 too, built on the first transfer correlation.
 
-Correlations corr(gap) = tr(rho (a (x) I^gap (x) b)) run densely
-(explicit rho, gap sites traced out, then paired with a and b) or on the
+Correlations corr(gap) = tr(rho (a (x) I^gap (x) b)) run densely (gap
+sites traced out of rho_{a+gap+b}, then paired with a and b) or on the
 transfer route, which pairs a and b with the emitted states and hands the
 resulting tables of hidden words to the classical correlation sweep of
 the hidden Markov chain, so gaps in the thousands cost no exponential
-memory.
+memory.  The dense route of a chain source forms only rho's entries that
+are diagonal on the gap sites, stepped from the chain, bitwise as rho has
+them; a chainless source builds its explicit rho_{a+gap+b}.
 """
 
 from __future__ import annotations
@@ -105,21 +107,25 @@ def _emit(states: np.ndarray, mixed: np.ndarray, out=None) -> np.ndarray:
     return np.multiply(states[:, :, None, :, None], mixed[:, None, :, None, :], out=out)
 
 
-def _step(chain: EmissionChain, mixed: np.ndarray | None) -> np.ndarray:
-    """M_{j+1} from M_j, stacked (n, D, D): M_j(h) = sum_g P[h, g] T_j(g) is the j-site
-    state that follows hidden state h, and T_{j+1}(h) = S_h (x) M_j(h) what h emits over
-    j + 1 sites; None stands for M_0, with T_1 = S.  The sum runs elementwise from 0 in
-    g order, as Python's sum of the products would, with one buffer for the products."""
-    if mixed is None:
-        blocks = chain.states
-    else:
-        n, side = mixed.shape[0], chain.states.shape[1] * mixed.shape[1]
-        blocks = _emit(chain.states, mixed).reshape(n, side, side)
+def _mix(transition: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_g P[h, g] T(g) for stacked (n, R, C) blocks T, elementwise from 0 in g order,
+    as Python's sum of the products would, with one buffer for the products."""
     total = term = None
-    for p, t in zip(chain.transition.T, blocks):
+    for p, t in zip(transition.T, blocks):
         term = np.multiply(p[:, None, None], t, out=term)
         total = 0 + term if total is None else np.add(total, term, out=total)
     return total
+
+
+def _step(chain: EmissionChain, mixed: np.ndarray | None) -> np.ndarray:
+    """M_{j+1} from M_j, stacked (n, R, C): M_j(h) = sum_g P[h, g] T_j(g) is the j-site
+    state that follows hidden state h, and T_{j+1}(h) = S_h (x) M_j(h) what h emits over
+    j + 1 sites; None stands for M_0, with T_1 = S.  R = C for a whole M_j; the dense
+    correlations also step blocks that keep only some of M_j's rows."""
+    if mixed is None:
+        return _mix(chain.transition, chain.states)
+    (n, rows, cols), d = mixed.shape, chain.states.shape[1]
+    return _mix(chain.transition, _emit(chain.states, mixed).reshape(n, d * rows, d * cols))
 
 
 def _chain_density(chain: EmissionChain, mixed: np.ndarray | None) -> np.ndarray:
@@ -131,8 +137,37 @@ def _chain_density(chain: EmissionChain, mixed: np.ndarray | None) -> np.ndarray
     for q, s, m in zip(chain.initial, chain.states, mixed):
         t = np.multiply(q, _emit(s[None], m[None], t), out=t)
         rho = 0 + t if rho is None else np.add(rho, t, out=rho)
-    side = chain.states.shape[1] * mixed.shape[1]
-    return rho.reshape(side, side)
+    d = chain.states.shape[1]
+    return rho.reshape(d * mixed.shape[1], d * mixed.shape[2])
+
+
+def _chain_pairs(chain: EmissionChain, a_sites: int, b_sites: int, gaps) -> dict:
+    """gap -> the two-block state sum_z rho[(x, z, y), (x', z, y')] of rho_{a+gap+b}, as
+    (da, db, da, db), for each distinct gap, stepped from the chain without rho.
+
+    Only rho's entries that are diagonal on the gap sites are formed, each by the
+    products and sums that form it in rho, in the same order, so the result is
+    bitwise what tracing the gap out of the full rho gives.  The blocks climb from
+    the right: M_b by whole steps; then one step per gap site, which keeps a gap
+    site's diagonal S_h[z, z] only, so the kept blocks are (n, d^gap * db, db); then,
+    for each requested gap, the a-block's whole steps and rho's level on those."""
+    d = chain.states.shape[1]
+    diagonals = np.diagonal(chain.states, axis1=1, axis2=2)[:, :, None, None]
+    kept = None
+    for _ in range(b_sites):
+        kept = _step(chain, kept)
+    n, db = kept.shape[:2]
+    da, wanted, pairs = d**a_sites, set(gaps), {}
+    for gap in range(max(wanted, default=-1) + 1):
+        if gap:  # S_h[z, z] M(h) for each z, as S_h (x) M(h) forms it, rows (z, earlier rows)
+            kept = _mix(chain.transition, np.multiply(diagonals, kept[:, None]).reshape(n, -1, db))
+        if gap in wanted:
+            mixed = kept
+            for _ in range(a_sites - 1):
+                mixed = _step(chain, mixed)
+            rho = _chain_density(chain, mixed).reshape(da, d**gap, db, da, db)
+            pairs[gap] = np.einsum("agbcd->abcd", rho)
+    return pairs
 
 
 def _count(value, what: str) -> int:
@@ -355,10 +390,15 @@ def source_correlation(
 ) -> np.ndarray:
     """corr(gap) = tr(rho_{ma+gap+mb} (a (x) I^(x gap) (x) b)) for each gap.
 
-    backend "dense" builds rho_{ma+gap+mb} (site count limited by the
-    dense cap), traces out the gap sites and pairs the two-block state
-    with a and b, so no operator of rho's side is formed; "transfer"
-    pairs a and b with the emitted states,
+    backend "dense" traces the gap sites out of rho_{ma+gap+mb} (site
+    count limited by the dense cap) and pairs the two-block state with a
+    and b, so no operator of rho's side is formed.  A source with an
+    emission chain forms only the entries of rho that the trace reads,
+    those diagonal on the gap sites, by the products and sums that form
+    them in rho, so the result is bitwise the full-rho one and no rho is
+    built; a chainless source builds and keeps each rho_{ma+gap+mb}.
+
+    "transfer" pairs a and b with the emitted states,
     f[h_1..h_ma] = tr((S_h1 (x) .. (x) S_hma) a) and likewise g for b, and
     takes the hidden Markov chain's classical correlation of f and g;
     "auto" picks transfer when the source has an emission chain.
@@ -367,15 +407,18 @@ def source_correlation(
     if a.site_dim != source.site_dim or b.site_dim != source.site_dim:
         raise ShapeMismatchError("observable site dim does not match source")
     if _correlation_route(source, a.sites, b.sites, int(gaps.max(initial=0)), backend) == "dense":
-        da, db = a.dim, b.dim
-        out = np.empty(gaps.size, dtype=complex)
-        for idx, gap in enumerate(gaps.tolist()):
-            rho = source.density(a.sites + gap + b.sites).entries
-            g = source.site_dim**gap
-            # the gap's partial trace reads only its diagonal: da^2 db^2 g entries of rho
-            pair = np.einsum("agbcgd->abcd", rho.reshape(da, g, db, da, g, db))
-            out[idx] = np.einsum("abcd,ca,db->", pair, a.entries, b.entries)
-        return out
+        gaps = gaps.tolist()
+        if _hidden_states(source) is not None:
+            pairs = _chain_pairs(source.chain, a.sites, b.sites, gaps)
+        else:
+            pairs = {}
+            da, db = a.dim, b.dim
+            for gap in gaps:
+                rho = source.density(a.sites + gap + b.sites).entries
+                g = source.site_dim**gap
+                # the gap's partial trace reads only its diagonal: da^2 db^2 g entries of rho
+                pairs[gap] = np.einsum("agbcgd->abcd", rho.reshape(da, g, db, da, g, db))
+        return np.array([np.einsum("abcd,ca,db->", pairs[gap], a.entries, b.entries) for gap in gaps], dtype=complex)
     f, g = (_state_table(source.chain.states, x) for x in (a, b))
     return classical_correlation_sweep(_hidden_process(source), f, g, gaps)
 

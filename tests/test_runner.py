@@ -810,6 +810,31 @@ class TestCLI:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_exit_two_on_a_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "café", "seed": 3}'.encode("latin-1"))
+        assert cli.main([str(path), "--output-dir", str(tmp_path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_config_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        """Under the C locale a UTF-8 config decodes as UTF-8, and a name that the file system's
+        ASCII encoding cannot hold exits 2 at load, without a traceback."""
+        path = self.write_config(tmp_path, name="cafe")
+        path.write_text(path.read_text().replace('"cafe"', '"café"'), encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        env.pop("PYTHONIOENCODING", None)
+        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(ss.__file__)), env.get("PYTHONPATH", "")])
+        script = "import sys; from spinsource import runner; assert runner._read_json(sys.argv[1])['name'] == 'caf\\xe9'"
+        subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True, timeout=120)
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinsource.cli", str(path), "--output-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and "config error: name:" in proc.stderr
+        assert cli.main([str(path), "--output-dir", str(tmp_path)]) == 0  # a UTF-8 locale writes café.*
+        assert (tmp_path / "café.report.json").is_file()
+
     def test_exit_three_on_cap(self, tmp_path, capsys):
         path = self.write_config(tmp_path, name="cli_cap", backend="dense", n_max=40)
         code = cli.main([str(path), "--output-dir", str(tmp_path)])

@@ -510,11 +510,13 @@ class TestDensityCache:
             assert "density" in cls.__dict__
 
     def test_sweep_and_checks_build_each_site_count_once(self, builds):
+        # a chain source's dense correlations step the chain without building rho_{a+gap+b}
         src = cache_sources()["transformed"]
         ss.sweep_report(src, n_max=6, backend="dense", random_pair_count=1, seed=3)
+        assert [m for _, m in builds] == [1]  # the block mean's rho_block_sites only
         ss.check_consistency(src, max_sites=5)
         ss.check_stationarity(src, max_sites=5)
-        assert sorted(m for _, m in builds) == [1, 2, 3, 4, 5, 6, 7]
+        assert sorted(m for _, m in builds) == [1, 2, 3, 4, 5]
 
     def test_lowered_cap_still_raises_after_a_build(self, monkeypatch):
         src = cache_sources()["correlated"]
@@ -617,6 +619,65 @@ class TestDenseContraction:
         finally:
             tracemalloc.stop()
         assert peak < (2**10) ** 2 * 16 / 4
+
+
+def full_rho_correlation(source, a, b, gaps) -> np.ndarray:
+    """The full-rho reference: for each gap build rho_{a+gap+b}, trace the gap sites out of it
+    and pair the two-block state with a and b."""
+    out = np.empty(len(gaps), dtype=complex)
+    for idx, gap in enumerate(gaps):
+        rho = source.density(a.sites + gap + b.sites).entries
+        g = source.site_dim**gap
+        pair = np.einsum("agbcgd->abcd", rho.reshape(a.dim, g, b.dim, a.dim, g, b.dim))
+        out[idx] = np.einsum("abcd,ca,db->", pair, a.entries, b.entries)
+    return out
+
+
+def bitwise_equal(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestChainPairs:
+    """A chain source's dense correlations form only rho's gap-diagonal entries, by the same
+    products and sums as rho does, so they are bitwise the full-rho route's."""
+
+    @pytest.mark.parametrize("name", sorted(n for n, (src, _) in DENSE_REFERENCE_CASES.items() if src.chain is not None))
+    def test_bitwise_full_rho(self, name):
+        source, shapes = DENSE_REFERENCE_CASES[name]
+        d = source.site_dim
+        for ma, mb, gaps in shapes:
+            gaps = list(gaps)
+            gaps = gaps[1::2] + gaps[::2] + [0, gaps[1]]  # unsorted, 0 twice, one more repeat
+            a = ss.random_observable(ma, seed=80 + ma, site_dim=d)
+            b = ss.random_observable(mb, seed=85 + mb, site_dim=d)
+            got = ss.source_correlation(source, a, b, gaps, "dense")
+            assert bitwise_equal(got, full_rho_correlation(source, a, b, gaps)), (ma, mb, gaps)
+
+    @pytest.mark.parametrize("name", ["nested_mixture", "d3"])
+    def test_bitwise_full_rho_with_three_terms_in_each_sum(self, name):
+        # with two hidden states the order of a sum's terms cannot show; these chains have more
+        source = KERNEL_SOURCES[name][0]()
+        d = source.site_dim
+        for ma, mb in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+            gaps = [2, 0, 1, 2] if d == 2 or ma + mb < 4 else [1, 0, 1]
+            a = ss.random_observable(ma, seed=90 + ma, site_dim=d)
+            b = ss.random_observable(mb, seed=95 + mb, site_dim=d)
+            got = ss.source_correlation(source, a, b, gaps, "dense")
+            assert bitwise_equal(got, full_rho_correlation(source, a, b, gaps)), (ma, mb, gaps)
+
+    def test_builds_no_state(self, builds):
+        src = cache_sources()["transformed"]
+        a, b = ss.random_observable(2, seed=63), ss.random_observable(1, seed=64)
+        got = ss.source_correlation(src, a, b, [3, 0, 3, 1], "dense")
+        assert builds == []
+        assert bitwise_equal(got, full_rho_correlation(src, a, b, [3, 0, 3, 1]))
+
+    def test_chainless_source_builds_its_states(self, builds):
+        src = cache_sources()["blocked"]
+        a, b = ss.random_observable(1, seed=65), ss.random_observable(1, seed=66)
+        got = ss.source_correlation(src, a, b, [4, 0, 2, 4], "dense")
+        assert [m for s, m in builds if s is src] == [6, 2, 4]
+        assert bitwise_equal(got, full_rho_correlation(src, a, b, [4, 0, 2, 4]))
 
 
 def kernel_sources() -> dict:

@@ -152,6 +152,42 @@ def test_regression_check_against_the_bound(change, better, bound, status):
     assert check["worse"] == pytest.approx(worse)
 
 
+def test_pairs_print_the_speed_factor_and_unscaled_medians(tmp_path, monkeypatch, capsys):
+    """bench_pairs reads each run's results file for its speed factor and unscaled seconds."""
+    bench = _load_tool("bench_pairs")
+    benchmark = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    ]}
+    factors = {"parent": [0.5, 0.7, 0.6], "change": [0.8, 0.9, 1.0]}
+    for side in factors:
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(benchmark))
+
+    def fabricated_run(command, cwd, **kwargs):
+        seed, side = int(command[command.index("--seed") + 1]), Path(cwd).name
+        factor, unscaled = factors[side][seed], {"wall_s": 2.0 + seed, "peak_rss_mb": 50.0}
+        metrics = {"wall_s": unscaled["wall_s"] * factor, "peak_rss_mb": 50.0}
+        out = Path(cwd) / ".perfbench" / f"w-seed{seed}-trace0.json"
+        out.parent.mkdir(exist_ok=True)
+        out.write_text(json.dumps({"digests": {"w": "same"}, "speed": {"factor": factor},
+                                   "unscaled_metrics": unscaled, "metrics": metrics}))
+        line = {"failed": 0, "attempted": 1, "metrics": {k: {"value": v} for k, v in metrics.items()}}
+        return subprocess.CompletedProcess(command, 0, stdout=json.dumps(line) + "\n")
+
+    monkeypatch.setattr(bench.subprocess, "run", fabricated_run)
+    args = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workload", "w"]
+    assert bench.main(args + ["--seeds", "0", "1", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "seeds whose report digests differ: none" in out
+    assert out[-3:] == [
+        "side\tspeed.factor median\tunscaled wall_s median",
+        "parent\t0.6\t3",
+        "change\t0.9\t3",
+    ]
+
+
 STUB_WORKLOADS = '''
 from dataclasses import dataclass
 

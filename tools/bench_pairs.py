@@ -17,7 +17,13 @@ is worse by more, and "unresolved" when the parent's interquartile range
 is wider than the bound, unless every run of the change is better than
 every run of the parent.  Above the table it prints the failed configs
 per side and the pairs whose report and CSV digests differ between the
-trees.  Exit code 0 after a complete run.
+trees.  Below the table it prints, per side, the median of the runs'
+``speed.factor`` and of each seconds metric before that factor scales it,
+from each run's ``.perfbench/<workload>-seed<N>-trace0.json``: the factor
+is timed between configs, so it moves when the program's own work slows
+the host, and scaled seconds of unchanged code move with it.  The claim
+and the regression check read the scaled metrics only.  Exit code 0 after
+a complete run.
 """
 
 from __future__ import annotations
@@ -73,8 +79,16 @@ def judge_bound(parent, change, better: str, bound: float) -> dict:
     return {"worse": worse, "bound": bound, "status": status}
 
 
+def unscaled_medians(results, names) -> dict:
+    """The median ``speed.factor`` of the runs' result files, and the median of each
+    named metric in their ``unscaled_metrics``."""
+    medians = {"speed.factor": statistics.median(r["speed"]["factor"] for r in results)}
+    medians.update((name, statistics.median(r["unscaled_metrics"][name] for r in results)) for name in names)
+    return medians
+
+
 def run_one(root: Path, workload: str, seed: int, seconds: float) -> tuple:
-    """(last JSON line, digests) of one ``--trace 0`` run in ``root``."""
+    """(last JSON line, results file) of one ``--trace 0`` run in ``root``."""
     command = [
         sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -82,7 +96,7 @@ def run_one(root: Path, workload: str, seed: int, seconds: float) -> tuple:
     proc = subprocess.run(command, cwd=root, capture_output=True, text=True, check=True)
     line = json.loads(proc.stdout.strip().splitlines()[-1])
     results = json.loads((root / ".perfbench" / f"{workload}-seed{seed}-trace0.json").read_text())
-    return line, results["digests"]
+    return line, results
 
 
 def main(argv=None) -> int:
@@ -103,13 +117,16 @@ def main(argv=None) -> int:
         return 2
 
     values = {side: {m["name"]: [] for m in benchmark["end_to_end"]} for side in trees}
+    results = {side: [] for side in trees}
     failed = {side: 0 for side in trees}
     digest_mismatches = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         digests = {}
         for side in order:
-            line, digests[side] = run_one(trees[side], args.workload, seed, benchmark["run_seconds"])
+            line, run = run_one(trees[side], args.workload, seed, benchmark["run_seconds"])
+            results[side].append(run)
+            digests[side] = run["digests"]
             failed[side] += line["failed"]
             for name in values[side]:
                 values[side][name].append(line["metrics"][name]["value"])
@@ -131,6 +148,11 @@ def main(argv=None) -> int:
               f"{verdict['wins']}/{verdict['pairs']}\t{'holds' if verdict['claim_holds'] else 'no'}\t"
               f"{check['status']} ({abs(check['worse']):.1%} {'worse' if check['worse'] > 0 else 'better'}, "
               f"bound {check['bound']:.0%})")
+    seconds = [m["name"] for m in benchmark["end_to_end"] if m["unit"] == "s"]
+    print("side\tspeed.factor median\t" + "\t".join(f"unscaled {name} median" for name in seconds))
+    for side in trees:
+        medians = unscaled_medians(results[side], seconds)
+        print(side + "\t" + "\t".join(f"{value:.4g}" for value in medians.values()))
     return 0
 
 
