@@ -58,23 +58,15 @@ from .channels import (
     validate_kraus,
 )
 from .classical import (
-    ClassicalConsistencyReport,
     ClassicalProcess,
     ClassificationReport,
     IIDProcess,
     MarkovProcess,
-    MeasureTable,
     MixtureProcess,
-    block_mean,
-    check_classical_consistency,
-    check_measure_consistency,
-    classical_correlation,
     classical_correlation_sweep,
     classify_process,
     marginal_table,
-    measure_table,
     stationary_distribution,
-    word_probability,
 )
 from .sources import (
     AlphabetSpec,
@@ -88,7 +80,6 @@ from .sources import (
     check_stationarity,
     computational_alphabet,
     construct_classically_correlated,
-    expectation_table,
     source_block_mean,
     source_correlation,
 )
@@ -100,7 +91,6 @@ from .pinching import (
     diagonal_observable,
     measure_to_state,
     pinching_channel,
-    source_measure_table,
     state_to_measure,
     verify_expectation_properties,
 )

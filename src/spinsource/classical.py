@@ -8,8 +8,11 @@ emits each symbol from its row of ``emission``.  An iid process is one
 hidden state, a Markov process emits its own state, and a mixture joins
 its components' chains block-diagonally.  Word probabilities, correlation
 sweeps and the analytic ergodicity classifier are written once against
-that form.  The classifier is the oracle for the numerical mixing tests:
-for finite chains the three properties have clean structural
+that form.  A process's consistency and stationarity are checked on its
+diagonal lift, construct_classically_correlated(process,
+computational_alphabet(k)), by sources.check_consistency and
+check_stationarity.  The classifier is the oracle for the numerical mixing
+tests: for finite chains the three properties have clean structural
 characterizations (Cesaro convergence needs every closed class the
 process reaches to carry the same statistics, full mixing additionally
 needs an aperiodic class).
@@ -240,117 +243,6 @@ def marginal_table(process: ClassicalProcess, length: int) -> np.ndarray:
     return _hidden_table(process.chain, length).sum(axis=-1)
 
 
-def word_probability(process: ClassicalProcess, word) -> float:
-    """Probability of one finite word starting at time 1."""
-    word = tuple(int(s) for s in word)
-    if not word:
-        raise ValueError("word must be nonempty")
-    k = process.alphabet_size
-    if any(s < 0 or s >= k for s in word):
-        raise ValueError(f"word {word} has symbols outside range({k})")
-    chain = process.chain
-    v = chain.initial * chain.emission[:, word[0]]
-    for s in word[1:]:
-        v = (v @ chain.transition) * chain.emission[:, s]
-    return float(v.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class MeasureTable:
-    """Word probabilities up to a maximum length, one dense array per length."""
-
-    alphabet_size: int
-    tables: tuple
-
-    def __post_init__(self):
-        k = self.alphabet_size
-        tabs = []
-        for ell, t in enumerate(self.tables, start=1):
-            arr = np.array(t, dtype=float)
-            if arr.shape != (k,) * ell:
-                raise ShapeMismatchError(
-                    f"length-{ell} table has shape {arr.shape}, expected {(k,) * ell}"
-                )
-            arr.setflags(write=False)
-            tabs.append(arr)
-        if not tabs:
-            raise ValueError("measure table needs at least length 1")
-        object.__setattr__(self, "tables", tuple(tabs))
-
-    @property
-    def max_len(self) -> int:
-        return len(self.tables)
-
-    def prob(self, word) -> float:
-        word = tuple(int(s) for s in word)
-        if not 1 <= len(word) <= self.max_len:
-            raise ValueError(f"word length {len(word)} outside 1..{self.max_len}")
-        return float(self.tables[len(word) - 1][word])
-
-
-def measure_table(process: ClassicalProcess, max_len: int) -> MeasureTable:
-    """Tabulate a process's word probabilities up to ``max_len``."""
-    return MeasureTable(
-        process.alphabet_size,
-        tuple(marginal_table(process, ell) for ell in range(1, max_len + 1)),
-    )
-
-
-@dataclass(frozen=True)
-class ClassicalConsistencyReport:
-    """Worst-case extension deviations of a word measure.
-
-    right: mu(w) vs sum_y mu(wy); left: mu(w) vs sum_x mu(xw).  Equality
-    of both is consistency plus shift invariance.
-    """
-
-    max_len: int
-    right_deviation: float
-    left_deviation: float
-    normalization_deviation: float
-    worst_word: tuple
-    tol: float = CONSISTENCY_TOL
-
-    @property
-    def consistent(self) -> bool:
-        return (
-            self.right_deviation <= self.tol
-            and self.normalization_deviation <= self.tol
-        )
-
-    @property
-    def stationary(self) -> bool:
-        return self.consistent and self.left_deviation <= self.tol
-
-
-def check_measure_consistency(table: MeasureTable) -> ClassicalConsistencyReport:
-    """Compare each length-l table against both marginalizations of length l+1."""
-    norm_dev = float(abs(table.tables[0].sum() - 1.0))
-    right = 0.0
-    left = 0.0
-    worst = (0,)
-    worst_dev = -1.0
-    for ell in range(1, table.max_len):
-        short, longer = table.tables[ell - 1], table.tables[ell]
-        right_dev = np.abs(longer.sum(axis=-1) - short)
-        left_dev = np.abs(longer.sum(axis=0) - short)
-        r = float(right_dev.max())
-        l = float(left_dev.max())
-        right = max(right, r)
-        left = max(left, l)
-        combined = np.maximum(right_dev, left_dev)
-        if combined.max() > worst_dev:
-            worst_dev = float(combined.max())
-            worst = tuple(int(i) for i in np.unravel_index(np.argmax(combined), combined.shape))
-    return ClassicalConsistencyReport(table.max_len, right, left, norm_dev, worst)
-
-
-def check_classical_consistency(
-    process: ClassicalProcess, max_len: int = 4
-) -> ClassicalConsistencyReport:
-    return check_measure_consistency(measure_table(process, max_len))
-
-
 # ---------------------------------------------------------------------------
 # correlations
 # ---------------------------------------------------------------------------
@@ -363,13 +255,6 @@ def _as_block_table(table, k: int, what: str) -> np.ndarray:
             f"{what} must have shape (k,)*m with k={k}, got {arr.shape}"
         )
     return arr
-
-
-def block_mean(process: ClassicalProcess, f_table) -> complex:
-    """E[f(w_1 .. w_m)] for a dense block function given as a (k,)*m table."""
-    f = _as_block_table(f_table, process.alphabet_size, "block function")
-    t = marginal_table(process, f.ndim)
-    return complex(np.sum(t * f))
 
 
 def _gap_array(gaps) -> np.ndarray:
@@ -435,10 +320,6 @@ def classical_correlation_sweep(process: ClassicalProcess, f_table, g_table, gap
                 return out
         out[idx] = v @ h
     return out
-
-
-def classical_correlation(process: ClassicalProcess, f_table, g_table, gap: int) -> complex:
-    return complex(classical_correlation_sweep(process, f_table, g_table, [gap])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,22 @@
 """Command line front end for config-driven runs.
 
     spinsource CONFIG.json [MORE.json ...] [--output-dir DIR]
-               [--seed N] [--n-max N] [--backend B] [--jobs J] [-v]
+               [--seed N] [--n-max N] [--backend B] [-v]
 
 Each config produces a structured JSON report and a decay CSV next to
 it (see runner module for the schema).  Every config is loaded before
 any runs; one that would write the same files as an earlier one is a
-config error and does not run.  --jobs runs configs in threads; a long
-decay CSV is formatted in forked processes only while one thread runs (see
-runner.emit_report), and the bytes are the same either way.  Exit code: 0
-when every selected check and test verdict of every config is pass, 1 when
-any is not, 2 on config errors and bad arguments, 3 when a resource cap
-was hit.
+config error and does not run.  The configs run one after another, in
+this process; a long decay CSV is formatted in forked processes (see
+runner.emit_report).  Exit code: 0 when every selected check and test
+verdict of every config is pass, 1 when any is not, 2 on config errors and
+bad arguments, 3 when a resource cap was hit.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import CapExceededError, ConfigError
@@ -28,17 +26,6 @@ EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_CAP_ERROR = 3
-
-
-def _job_count(text: str) -> int:
-    """--jobs J: an integer of at least 1; argparse exits 2 on anything else."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,11 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n-max", type=int, dest="n_max", help="override the shift horizon")
     parser.add_argument(
         "--backend", choices=["auto", "dense", "transfer"], help="override the backend"
-    )
-    parser.add_argument(
-        "--jobs", type=_job_count, default=1, metavar="J",
-        help="run up to J (at least 1) configs concurrently, in threads; a long decay CSV "
-        "is formatted in forked processes only while one thread runs, with the same bytes",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="per-pair verdicts")
     return parser
@@ -126,13 +108,9 @@ def main(argv=None) -> int:
             loaded.append(config)
         except (ConfigError, CapExceededError) as exc:
             loaded.append(_failure(exc))
-    if args.jobs == 1 or len(loaded) == 1:
-        results = [_run_one(item) for item in loaded]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, loaded))
     worst = EXIT_PASS
-    for path, (code, report, written, error) in zip(args.configs, results):
+    for path, item in zip(args.configs, loaded):
+        code, report, written, error = _run_one(item)
         _print_result(path, code, report, written, error, args.verbose)
         worst = max(worst, code)
     return worst

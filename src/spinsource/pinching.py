@@ -11,9 +11,10 @@ complete-dephasing channel with Kraus operators |u_i><u_i|, so it runs
 through the Kraus layer like any other channel, and a pinched source is
 a channel-transformed source.  Diagonal entries of a state in the
 same basis form a probability measure on words, mu(w) = <w| rho |w>,
-and placing a measure back on the diagonal inverts the map.  Pinching a
-consistent (or stationary) source yields a consistent (or stationary)
-measure and vice versa, which is what the bridge tests exercise.
+and placing a measure back on the diagonal inverts the map.  The word
+measure of a pinched source is the diagonal of its states, so the source
+checks (check_consistency, check_stationarity) of
+channel_transform_source(source, pinching_channel(basis)) test the measure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, apply_dual, kraus_channel, unitary_channel
-from .classical import MeasureTable
 from .errors import ShapeMismatchError
 from .operators import DensityOperator, Operator, density_operator
 
@@ -113,14 +113,6 @@ def measure_to_state(values, basis: PinchingBasis) -> DensityOperator:
     if abs(arr.sum() - 1.0) > 1e-9:
         raise ValueError(f"word probabilities sum to {arr.sum()}, expected 1")
     return density_operator(diagonal_observable(np.clip(arr, 0.0, None), basis))
-
-
-def source_measure_table(source, basis: PinchingBasis, max_len: int) -> MeasureTable:
-    """Pinch rho_1 .. rho_max_len of a source into one classical word measure."""
-    tables = tuple(
-        state_to_measure(source.density(m), basis) for m in range(1, max_len + 1)
-    )
-    return MeasureTable(basis.site_dim, tables)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ The channel's Kraus count (KRAUS_COUNT_CAP) is checked as it is decoded.
 
 emit_report formats a long decay CSV on every CPU the process may run on:
 on Linux, with more than one such CPU, at least _FORK_MIN_ROWS rows and no
-other Python thread alive (the CLI's --jobs pool keeps it serial), the rows
+other Python thread alive (a caller's own threads keep it serial), the rows
 are cut in file order into contiguous shares; forked children write theirs
 into anonymous memory files (memfd_create), and this process writes the
 header and the first share and appends the others in order.  The bytes do
@@ -698,8 +698,8 @@ def _csv_workers(rows: int) -> int:
 
     More than one only on Linux (memfd_create), with more than one CPU to
     run on, at least _FORK_MIN_ROWS rows, and no other Python thread alive:
-    a fork copies only the calling thread, so a thread pool (the CLI's
-    --jobs) keeps formatting in this process.
+    a fork copies only the calling thread, so a library caller that emits
+    reports from its own threads keeps formatting in this process.
     """
     if rows < _FORK_MIN_ROWS or not hasattr(os, "memfd_create") or threading.active_count() != 1:
         return 1

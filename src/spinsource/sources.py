@@ -49,8 +49,10 @@ import numpy as np
 
 from .channels import KrausChannel, _block_sites, _require_trace_preserving, apply_channel, validate_alphabet
 from .classical import ClassicalProcess, MarkovProcess, _check_word_cap, _gap_array, classical_correlation_sweep
-from .errors import BackendError, ShapeMismatchError
-from .operators import DensityOperator, Operator, _check_cap, _owned_operator, density_operator, trace_pairing
+from .errors import BackendError, CapExceededError, ShapeMismatchError
+from .operators import (
+    DENSE_CAP_ENV, DensityOperator, Operator, _check_cap, _owned_operator, dense_cap, density_operator, trace_pairing,
+)
 
 SOURCE_CHECK_TOL = 1e-9
 
@@ -335,14 +337,6 @@ def channel_transform_source(source: QuantumSource, channel: KrausChannel) -> Ch
 # ---------------------------------------------------------------------------
 
 
-def expectation_table(alphabet: AlphabetSpec, a: Operator) -> np.ndarray:
-    """Table g[w] = <psi_w| a |psi_w> over all words w of a's length."""
-    if a.site_dim != alphabet.site_dim:
-        raise ShapeMismatchError("observable site dim does not match alphabet")
-    v = alphabet.vectors
-    return _state_table(v[:, :, None] * v[:, None, :].conj(), a)
-
-
 def _hidden_states(source) -> int | None:
     """The hidden-state count of source's emission chain, or None without one, decided
     without building a chain: a channel on k > 1 sites leaves none, as does a base without one."""
@@ -358,19 +352,37 @@ def _hidden_states(source) -> int | None:
     return None if chain is None else chain.initial.size
 
 
+def _check_pairs_cap(site_dim: int, a_sites: int, b_sites: int, max_gap: int) -> None:
+    """_chain_pairs' largest array, rho's level at the widest gap with d**(2a+2b+gap)
+    entries, fits dense_cap()**2 entries, as many as the densest state the cap allows."""
+    cap, exponent = dense_cap() ** 2, 2 * (a_sites + b_sites) + max_gap
+    if exponent <= cap.bit_length() and site_dim**exponent <= cap:
+        return
+    raise CapExceededError(
+        f"dense chain kernel array of {site_dim}**{exponent} entries exceeds cap {cap} "
+        f"(the dense cap squared; override with {DENSE_CAP_ENV})",
+        cap=cap,
+    )
+
+
 def _correlation_route(source: QuantumSource, a_sites: int, b_sites: int, max_gap: int, backend: str) -> str:
     """The backend that correlations of a_sites- and b_sites-site observables at
-    gaps up to max_gap run on, once that route's cap fits: the dense side
-    d**(a+gap+b), or the transfer sweep's table of n**max(a, b) hidden words by
-    n end states.  "auto" picks transfer exactly when the source has an emission
-    chain, which "transfer" needs.  Nothing is built to decide."""
+    gaps up to max_gap run on, once that route's cap fits: on the dense route, the
+    chain kernel's largest array for a source with an emission chain, else the side
+    d**(a+gap+b) of the rho a chainless source builds; on the transfer route, the
+    sweep's table of n**max(a, b) hidden words by n end states.  "auto" picks
+    transfer exactly when the source has an emission chain, which "transfer" needs.
+    Nothing is built to decide."""
     if backend not in ("auto", "dense", "transfer"):
         raise BackendError(f"unknown backend {backend!r}")
     hidden = _hidden_states(source)
     if backend == "transfer" and hidden is None:
         raise BackendError(f"transfer backend needs an emission chain, which a {type(source).__name__} lacks")
-    if backend == "dense" or hidden is None:
+    if hidden is None:
         _check_cap(source.site_dim, a_sites + max_gap + b_sites)
+        return "dense"
+    if backend == "dense":
+        _check_pairs_cap(source.site_dim, a_sites, b_sites, max_gap)
         return "dense"
     _check_word_cap(hidden, max(a_sites, b_sites), hidden)
     return "transfer"

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinsource as ss
@@ -15,6 +15,21 @@ APERIODIC_T = np.array([[0.9, 0.1], [0.2, 0.8]])
 PERIOD2_T = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def forward_probability(process, word):
+    """Pr(word) as the forward product initial D(w_1) T D(w_2) .. T D(w_m) 1, one symbol at a
+    time: an oracle for marginal_table, which builds every word of a length at once."""
+    chain = process.chain
+    v = chain.initial * chain.emission[:, word[0]]
+    for s in word[1:]:
+        v = (v @ chain.transition) * chain.emission[:, s]
+    return float(v.sum())
+
+
+def lift(process):
+    """The diagonal lift of a process: the source whose states carry its word measure."""
+    return ss.construct_classically_correlated(process, ss.computational_alphabet(process.alphabet_size))
+
+
 def brute_correlation(process, f, g, gap):
     """Oracle: enumerate every word of length mf + gap + mg."""
     f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
@@ -22,7 +37,7 @@ def brute_correlation(process, f, g, gap):
     total = 0.0 + 0j
     for word in itertools.product(range(process.alphabet_size), repeat=mf + gap + mg):
         total += (
-            ss.word_probability(process, word)
+            forward_probability(process, word)
             * f[word[:mf]]
             * g[word[mf + gap :]]
         )
@@ -52,20 +67,20 @@ class TestStationaryDistribution:
 class TestWordProbabilities:
     def test_markov_word(self):
         chain = ss.MarkovProcess(APERIODIC_T)
-        assert ss.word_probability(chain, (0, 1)) == pytest.approx(1 / 15, abs=1e-12)
+        assert ss.marginal_table(chain, 2)[0, 1] == pytest.approx(1 / 15, abs=1e-12)
 
     def test_mixture_word(self):
         mix = ss.MixtureProcess(
             [0.5, 0.5], (ss.IIDProcess([0.9, 0.1]), ss.IIDProcess([0.1, 0.9]))
         )
-        assert ss.word_probability(mix, (0, 0)) == pytest.approx(0.41, abs=1e-12)
+        assert ss.marginal_table(mix, 2)[0, 0] == pytest.approx(0.41, abs=1e-12)
 
     @pytest.mark.parametrize("length", [1, 2, 3, 4])
     def test_marginal_table_matches_word_probability(self, length):
         chain = ss.MarkovProcess(APERIODIC_T)
         table = ss.marginal_table(chain, length)
         for word in itertools.product(range(2), repeat=length):
-            assert table[word] == pytest.approx(ss.word_probability(chain, word), abs=1e-12)
+            assert table[word] == pytest.approx(forward_probability(chain, word), abs=1e-12)
 
     def test_tables_sum_to_one(self):
         mix = ss.MixtureProcess(
@@ -89,10 +104,6 @@ class TestWordProbabilities:
         with pytest.raises(CapExceededError):
             ss.marginal_table(mixture(16), 6)  # 64 * 16 = 1024
 
-    def test_symbol_out_of_range(self):
-        with pytest.raises(ValueError):
-            ss.word_probability(ss.IIDProcess([0.5, 0.5]), (0, 2))
-
 
 class TestConsistency:
     @pytest.mark.parametrize(
@@ -105,37 +116,59 @@ class TestConsistency:
         ],
     )
     def test_stationary_processes_pass(self, process):
-        report = ss.check_classical_consistency(process, max_len=5)
-        assert report.consistent and report.stationary
+        source = lift(process)
+        assert ss.check_consistency(source, 5).passed and ss.check_stationarity(source, 5).passed
 
     def test_nonstationary_start_fails_left_only(self):
-        chain = ss.MarkovProcess(APERIODIC_T, initial=[1.0, 0.0])
-        report = ss.check_classical_consistency(chain, max_len=4)
-        assert report.consistent
-        assert not report.stationary
-        assert report.left_deviation > 1e-2
+        source = lift(ss.MarkovProcess(APERIODIC_T, initial=[1.0, 0.0]))
+        assert ss.check_consistency(source, 4).passed
+        report = ss.check_stationarity(source, 4)
+        assert not report.passed
+        assert report.worst_deviation > 1e-2
 
     def test_tampered_table_fails(self):
-        table = ss.measure_table(ss.MarkovProcess(APERIODIC_T), 3)
-        bad = np.array(table.tables[1])
-        bad[0, 0] += 0.05
-        bad[0, 1] -= 0.05
-        tampered = ss.MeasureTable(2, (table.tables[0], bad, table.tables[2]))
-        report = ss.check_measure_consistency(tampered)
-        assert not report.consistent
-        # the redistributed mass is detectable from word (0,) sideways
-        # and from (0,0)/(0,1) upward; any of those may rank worst
-        assert report.worst_word in {(0,), (0, 0), (0, 1)}
-        assert report.right_deviation == pytest.approx(0.05, abs=1e-12)
+        class Tampered:
+            """The lifted chain with mass 0.05 moved from word (0, 0) to (0, 1) in rho_2 only."""
 
-    def test_measure_table_prob_accessor(self):
-        chain = ss.MarkovProcess(APERIODIC_T)
-        table = ss.measure_table(chain, 3)
-        assert table.prob((0, 1, 1)) == pytest.approx(
-            ss.word_probability(chain, (0, 1, 1)), abs=1e-14
-        )
-        with pytest.raises(ValueError):
-            table.prob((0, 0, 0, 0))
+            site_dim = 2
+
+            def __init__(self, base):
+                self.base = base
+
+            def density(self, sites):
+                rho = self.base.density(sites)
+                if sites != 2:
+                    return rho
+                entries = np.array(rho.entries)
+                entries[0, 0] -= 0.05
+                entries[1, 1] += 0.05
+                return ss.Operator(entries, 2, 2)
+
+        report = ss.check_consistency(Tampered(lift(ss.MarkovProcess(APERIODIC_T))), 3)
+        assert not report.passed
+        # rho_2 still reduces to rho_1, so only rho_3 against rho_2 sees the move
+        assert report.worst_pair == (2, 1)
+        assert report.worst_deviation == pytest.approx(0.05, abs=1e-12)
+
+    @given(st.integers(2, 3), st.integers(0, 2**32 - 1), st.none() | st.floats(-6, -1))
+    @settings(max_examples=60)
+    def test_stationarity_check_is_the_stationary_law(self, n, seed, log_eps):
+        """The lift of a random Markov chain passes check_stationarity iff its initial law
+        is stationary, max|pi P - pi| <= 1e-9; the law is either the stationary one or
+        moved off it by a share 10**log_eps toward a random law."""
+        rng = np.random.default_rng(seed)
+        transition = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.7)
+        transition[np.arange(n), rng.integers(0, n, size=n)] += 1e-3  # no empty row
+        transition /= transition.sum(axis=1, keepdims=True)
+        initial = ss.stationary_distribution(transition)[0]
+        if log_eps is not None:
+            eps = 10.0**log_eps
+            initial = (1 - eps) * initial + eps * rng.dirichlet(np.ones(n))
+            initial /= initial.sum()
+        process = ss.MarkovProcess(transition, initial)
+        stationary = np.max(np.abs(process.initial @ process.transition - process.initial)) <= 1e-9
+        assert ss.check_stationarity(lift(process)).passed == stationary
+        assert ss.check_consistency(lift(process)).passed
 
 
 class TestCorrelation:
@@ -144,16 +177,15 @@ class TestCorrelation:
         chain = ss.MarkovProcess(APERIODIC_T)
         f = np.array([1.0, 0.0])
         target = 4 / 9
-        for gap in range(6):
-            corr = ss.classical_correlation(chain, f, f, gap)
+        for gap, corr in enumerate(ss.classical_correlation_sweep(chain, f, f, range(6))):
             assert corr.real - target == pytest.approx((2 / 9) * 0.7 ** (gap + 1), abs=1e-12)
 
     def test_period2_indicator(self):
         chain = ss.MarkovProcess(PERIOD2_T)
         f = np.array([1.0, 0.0])
-        for gap in range(6):
+        for gap, corr in enumerate(ss.classical_correlation_sweep(chain, f, f, range(6))):
             expected = 0.5 if gap % 2 == 1 else 0.0
-            assert ss.classical_correlation(chain, f, f, gap).real == pytest.approx(expected)
+            assert corr.real == pytest.approx(expected)
 
     def test_mixture_indicator_constant(self):
         mix = ss.MixtureProcess(
@@ -168,7 +200,7 @@ class TestCorrelation:
         f = np.array([2.0, -1.0])
         g = np.array([[0.5, 1.5], [2.5, -0.5]])
         sweep = ss.classical_correlation_sweep(iid, f, g, range(4))
-        expected = ss.block_mean(iid, f) * ss.block_mean(iid, g)
+        expected = np.sum(ss.marginal_table(iid, 1) * f) * np.sum(ss.marginal_table(iid, 2) * g)
         assert np.allclose(sweep, expected, atol=1e-12)
 
     @pytest.mark.parametrize("gap", [0, 1, 3])
@@ -178,7 +210,7 @@ class TestCorrelation:
         rng = np.random.default_rng(5 * gap + mf + 10 * mg)
         f = rng.standard_normal((2,) * mf) + 1j * rng.standard_normal((2,) * mf)
         g = rng.standard_normal((2,) * mg) + 1j * rng.standard_normal((2,) * mg)
-        got = ss.classical_correlation(chain, f, g, gap)
+        got = ss.classical_correlation_sweep(chain, f, g, [gap])[0]
         assert got == pytest.approx(brute_correlation(chain, f, g, gap), abs=1e-12)
 
     def test_mixture_matches_brute_force(self):
@@ -186,17 +218,17 @@ class TestCorrelation:
             [0.4, 0.6], (ss.MarkovProcess(APERIODIC_T), ss.IIDProcess([0.2, 0.8]))
         )
         f = np.array([[1.0, 0.0], [0.0, -1.0]])
-        got = ss.classical_correlation(mix, f, f, 2)
+        got = ss.classical_correlation_sweep(mix, f, f, [2])[0]
         assert got == pytest.approx(brute_correlation(mix, f, f, 2), abs=1e-12)
 
     def test_block_mean(self):
-        chain = ss.MarkovProcess(APERIODIC_T)
-        f = np.array([1.0, 0.0])
-        assert ss.block_mean(chain, f) == pytest.approx(2 / 3, abs=1e-12)
+        # the lift's mean of the projector on symbol 0 is the symbol's stationary weight
+        source = lift(ss.MarkovProcess(APERIODIC_T))
+        assert ss.source_block_mean(source, ss.word_projector((0,))) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_table_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
-            ss.classical_correlation(ss.IIDProcess([0.5, 0.5]), np.ones((2, 3)), np.ones(2), 0)
+            ss.classical_correlation_sweep(ss.IIDProcess([0.5, 0.5]), np.ones((2, 3)), np.ones(2), [0])
 
     @pytest.mark.parametrize("gaps", [[0.7, 2.9], [True], [0, False], np.array([1.5]), np.array([True])])
     def test_sweep_rejects_non_integer_gaps(self, gaps):
@@ -214,7 +246,7 @@ class TestCorrelation:
         chain = ss.MarkovProcess(APERIODIC_T)
         f = np.array([0.25, 1.5])
         sweep = ss.classical_correlation_sweep(chain, f, f, [gap])
-        assert sweep[0] == pytest.approx(ss.classical_correlation(chain, f, f, gap))
+        assert sweep[0] == pytest.approx(_stepped_sweep(chain, f, f, [gap])[0])
 
 
 class TestClassifier:
@@ -353,12 +385,12 @@ class TestEarlyExit:
         gaps = list(range(400))
         sweep = ss.classical_correlation_sweep(process, f, g, gaps)
         for gap in (0, 1, 63, 64, 65, 128, 129, 200, 257, 399):
-            assert sweep[gap] == ss.classical_correlation(process, f, g, gap)
+            assert sweep[gap] == ss.classical_correlation_sweep(process, f, g, [gap])[0]
         backwards = ss.classical_correlation_sweep(process, f, g, gaps[::-1])
         assert np.array_equal(backwards, sweep[::-1])
         # shuffled and repeated gaps on both sides of the settle checks at 64 and 128
         mixed = [399, 0, 64, 64, 200, 63, 399, 1, 129, 128, 127]
-        pointwise = np.array([ss.classical_correlation(process, f, g, gap) for gap in mixed])
+        pointwise = np.array([ss.classical_correlation_sweep(process, f, g, [gap])[0] for gap in mixed])
         shuffled = ss.classical_correlation_sweep(process, f, g, mixed)
         assert shuffled.tobytes() == pointwise.tobytes()
         # every accepted form of the same gaps gives the same array

@@ -125,15 +125,20 @@ class TestStateMeasure:
         assert np.max(np.abs(got - expected)) <= 1e-14
 
     def test_induced_measure_table_is_consistent(self, fleet):
-        table = ss.source_measure_table(fleet["aperiodic"], ss.computational_basis(), 4)
-        assert ss.check_measure_consistency(table).consistent
+        # the pinched source's states carry the base's induced measure on their diagonal
+        basis = rotated_basis()
+        source = pinched(fleet["aperiodic"], basis)
+        for m in range(1, 5):
+            got = ss.state_to_measure(source.density(m), basis)
+            expected = ss.state_to_measure(fleet["aperiodic"].density(m), basis)
+            assert np.max(np.abs(got - expected)) <= 1e-14
+        assert ss.check_consistency(source, 4).passed
+        assert ss.check_stationarity(source, 4).passed
 
     def test_pinched_nonstationary_measure_fails_left(self, nonstationary_source):
-        table = ss.source_measure_table(
-            nonstationary_source, ss.computational_basis(), 4
-        )
-        report = ss.check_measure_consistency(table)
-        assert report.consistent and not report.stationary
+        source = pinched(nonstationary_source, ss.computational_basis())
+        assert ss.check_consistency(source, 4).passed
+        assert not ss.check_stationarity(source, 4).passed
 
 
 class TestPinchedSource:

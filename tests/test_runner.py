@@ -14,6 +14,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -898,20 +899,15 @@ class TestCLI:
         threaded = tmp_path / "threaded"
         assert cli.main([str(p1), str(p2), str(p3), "--output-dir", str(serial)]) == 0
         assert len(fork_calls) == 1  # par_long only
-        assert cli.main([str(p1), str(p2), str(p3), "--output-dir", str(threaded), "--jobs", "2"]) == 0
-        assert len(fork_calls) == 1  # threads run: every CSV is formatted serially
+        # a library caller emitting from its own threads: a fork would copy only the
+        # calling thread, so while another thread is alive every CSV is formatted in-process
+        reports = [run_experiment(ExperimentConfig.from_json(p, {"output_dir": str(threaded)})) for p in (p1, p2, p3)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert all(pool.map(emit_report, reports))
+        assert len(fork_calls) == 1
         for name in ("par_a", "par_b", "par_long"):
             for suffix in (".report.json", ".decay.csv"):
                 assert (serial / (name + suffix)).read_bytes() == (threaded / (name + suffix)).read_bytes()
-
-    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
-    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
-        path = self.write_config(tmp_path, name="cli_jobs")
-        with pytest.raises(SystemExit) as exc:
-            cli.main([str(path), "--output-dir", str(tmp_path), "--jobs", jobs])
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
-        assert not (tmp_path / "cli_jobs.report.json").exists()
 
     # block_sites 1 keeps the dense sweep to 3 pairs on at most 9 sites;
     # block_sites 2 would apply the channel to 10-site states for 5 pairs
@@ -925,12 +921,11 @@ class TestCLI:
         assert (tmp_path / "cli_blocks.report.json").exists()
         assert (tmp_path / "cli_blocks.decay.csv").exists()
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_repeated_output_is_config_error(self, tmp_path, capsys, jobs):
+    def test_repeated_output_is_config_error(self, tmp_path, capsys):
         first = self.write_config(tmp_path / "a", name="same", seed=3)
         second = self.write_config(tmp_path / "b", name="same", seed=5)
         out = tmp_path / "out"
-        code = cli.main([str(first), str(second), "--output-dir", str(out), "--jobs", jobs])
+        code = cli.main([str(first), str(second), "--output-dir", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert f"{second}: config error" in err and str(first) in err
@@ -1005,7 +1000,9 @@ class TestCapsAtLoad:
         return calls
 
     def test_dense_sweep_past_cap_runs_no_check(self, tmp_path, capsys, check_calls):
-        with pytest.raises(ss.CapExceededError, match=r"side 2\*\*41 exceeds"):
+        # a chain source's dense correlations are capped by the chain kernel's largest array,
+        # d**(2a + 2b + gap) entries at the widest gap 39, against the dense cap squared
+        with pytest.raises(ss.CapExceededError, match=r"dense chain kernel array of 2\*\*43 entries exceeds"):
             ExperimentConfig.from_dict(DEFECT_CAP_CONFIG)
         path = tmp_path / "past_cap.json"
         path.write_text(json.dumps(DEFECT_CAP_CONFIG))
@@ -1051,23 +1048,27 @@ class TestCapsAtLoad:
             ExperimentConfig.from_dict({**at_cap, "n_max": cap // 2 + 1})
 
     @pytest.mark.parametrize(
-        "fits, past",
+        "fits, past, message",
         [
-            # sweep: a (x) I^(n_max - block) (x) b spans n_max + block_sites sites
-            ({"tests": ["strong"], "n_max": 8, "block_sites": 2},
-             {"tests": ["strong"], "n_max": 9, "block_sites": 2}),
-            ({"tests": ["consistency"], "check_sites": 10}, {"tests": ["consistency"], "check_sites": 11}),
+            # sweep: the chain kernel's array at the widest gap n_max - block holds
+            # d**(4 block + n_max - block) entries, against the cap squared
+            ({"tests": ["strong"], "n_max": 14, "block_sites": 2},
+             {"tests": ["strong"], "n_max": 15, "block_sites": 2},
+             r"dense chain kernel array of 2\*\*21 entries exceeds cap 1048576"),
+            ({"tests": ["consistency"], "check_sites": 10}, {"tests": ["consistency"], "check_sites": 11},
+             r"side 2048 exceeds cap 1024"),
             # the checks run whole channel blocks: 11 sites in blocks of 2 check 10
             ({"tests": ["stationarity"], "check_sites": 11, "channel": {"kind": "identity", "block_sites": 2}},
-             {"tests": ["stationarity"], "check_sites": 11, "channel": {"kind": "identity", "block_sites": 1}}),
+             {"tests": ["stationarity"], "check_sites": 11, "channel": {"kind": "identity", "block_sites": 1}},
+             r"side 2048 exceeds cap 1024"),
         ],
         ids=["sweep", "checks", "check_blocks"],
     )
-    def test_side_at_cap_loads_one_past_fails(self, monkeypatch, fits, past):
+    def test_side_at_cap_loads_one_past_fails(self, monkeypatch, fits, past, message):
         monkeypatch.setenv(ss.operators.DENSE_CAP_ENV, str(2**10))
         base = {**DEFECT_CAP_CONFIG, "check_sites": 4}
         ExperimentConfig.from_dict({**base, **fits})
-        with pytest.raises(ss.CapExceededError, match=r"side 2048 exceeds cap 1024"):
+        with pytest.raises(ss.CapExceededError, match=message):
             ExperimentConfig.from_dict({**base, **past})
 
     @pytest.mark.parametrize("backend", ["auto", "transfer"])
@@ -1154,7 +1155,7 @@ class TestCapsAtLoad:
             ExperimentConfig.from_dict({**DEFECT_CAP_CONFIG, "backend": "transfer", "check_sites": 13})
 
     def test_huge_site_count_fails_without_the_power(self):
-        with pytest.raises(ss.CapExceededError, match=r"side 3\*\*1000000001 exceeds"):
+        with pytest.raises(ss.CapExceededError, match=r"kernel array of 3\*\*1000000003 entries exceeds"):
             ExperimentConfig.from_dict({
                 **DEFECT_CAP_CONFIG, "site_dim": 3, "n_max": 10**9, "tests": ["weak"],
                 "source": {"kind": "iid", "state": (np.eye(3) / 3).tolist()},

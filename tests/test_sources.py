@@ -15,12 +15,13 @@ from conftest import APERIODIC_T, NONORTHO, RHO_SITE, make_fleet, make_nonstatio
 def brute_density(process, vectors, sites):
     """Oracle: sum over all words of word probability times the pure product."""
     k, d = vectors.shape
+    probs = ss.marginal_table(process, sites)
     out = np.zeros((d**sites, d**sites), dtype=complex)
     for word in itertools.product(range(k), repeat=sites):
         vec = np.array([1.0 + 0j])
         for s in word:
             vec = np.kron(vec, vectors[s])
-        out += ss.word_probability(process, word) * np.outer(vec, vec.conj())
+        out += probs[word] * np.outer(vec, vec.conj())
     return out
 
 
@@ -220,14 +221,21 @@ class TestCorrelations:
         x = ss.as_operator(ss.PAULI_X)
         assert ss.source_block_mean(fleet["aperiodic"], x) == pytest.approx(1 / 3, abs=1e-12)
 
+    @staticmethod
+    def pure_state_table(alphabet, a):
+        """g[w] = <psi_w| a |psi_w> over words w of a's length: the transfer route's
+        table of a against the alphabet's pure states."""
+        v = alphabet.vectors
+        return ss.sources._state_table(v[:, :, None] * v[:, None, :].conj(), a)
+
     def test_expectation_table_oracle(self, nonortho_alphabet):
         p0 = ss.word_projector((0,))
-        table = ss.expectation_table(nonortho_alphabet, p0)
+        table = self.pure_state_table(nonortho_alphabet, p0)
         assert np.allclose(table, [1.0, 0.5], atol=1e-14)
 
     def test_expectation_table_two_sites(self, nonortho_alphabet):
         a = ss.random_observable(2, seed=72)
-        table = ss.expectation_table(nonortho_alphabet, a)
+        table = self.pure_state_table(nonortho_alphabet, a)
         for w0, w1 in itertools.product(range(2), repeat=2):
             vec = np.kron(nonortho_alphabet.vectors[w0], nonortho_alphabet.vectors[w1])
             assert table[w0, w1] == pytest.approx(vec.conj() @ a.entries @ vec, abs=1e-12)
@@ -281,6 +289,23 @@ class TestCorrelations:
         with pytest.raises(CapExceededError):
             ss.source_correlation(Counting(), a, a, [0, 1, 40], "dense")
         assert built == []
+
+    def test_dense_chain_kernel_capped_by_its_own_array(self, fleet):
+        # gap 12: rho_14's side 2**14 is past the cap 4096, but the chain kernel's largest
+        # array holds 2**(2+2+12) entries, within the cap squared
+        a, b = ss.random_observable(1, seed=76), ss.random_observable(1, seed=77)
+        dense = ss.source_correlation(fleet["aperiodic"], a, b, [12], "dense")
+        transfer = ss.source_correlation(fleet["aperiodic"], a, b, [12], "transfer")
+        assert np.max(np.abs(dense - transfer)) <= 1e-12
+        assert ss.sweep_report(fleet["aperiodic"], 1, 14, "dense").backend == "dense"
+        with pytest.raises(CapExceededError, match=r"dense chain kernel array of 2\*\*25 entries exceeds cap 16777216"):
+            ss.source_correlation(fleet["aperiodic"], a, b, [0, 21], "dense")
+
+    def test_chainless_dense_cap_counts_rho_side(self, fleet):
+        blocked = ss.channel_transform_source(fleet["iid"], tensor_power(ss.amplitude_damping_channel(0.4), 2))
+        a = ss.random_observable(1, seed=76)
+        with pytest.raises(CapExceededError, match=r"dense matrix side 2\*\*14 exceeds cap 4096"):
+            ss.source_correlation(blocked, a, a, [12], "dense")
 
     def test_transfer_caps_hidden_word_tables(self):
         # 1000 hidden states: the sweep's table over one-site hidden words and end states holds

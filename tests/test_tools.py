@@ -188,6 +188,45 @@ def test_pairs_print_the_speed_factor_and_unscaled_medians(tmp_path, monkeypatch
     ]
 
 
+def test_record_alternates_parent_and_change(tmp_path, monkeypatch):
+    """bench_record runs the parent first on even seeds and the change first on odd ones,
+    and writes one BENCH file per tree."""
+    record = _load_tool("bench_record")
+    benchmark = {"run_seconds": 1, "workloads": [{"name": "w"}, {"name": "v"}]}
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for root in trees.values():
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text("")
+        (root / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    calls = []
+
+    def fabricated_run(root, workload, seed, trace, seconds):
+        calls.append((root.name, workload, seed, trace))
+        wall = 1.0 if root.name == "parent" else 2.0
+        run = {"seed": seed, "trace": trace, "failed": 0, "attempted": 1, "metrics": {"wall_s": wall + seed}}
+        return run, {"tree": root.name}
+
+    monkeypatch.setattr(record, "run_one", fabricated_run)
+    monkeypatch.setattr(record, "HERE", tmp_path / "tools")
+    args = ["--tag", "new", "--root", str(trees["change"]), "--parent-root", str(trees["parent"]),
+            "--parent-tag", "old", "--seeds", "0", "1"]
+    assert record.main(args) == 0
+    expected = []
+    for workload in ("w", "v"):
+        for seed, order in ((0, ("parent", "change")), (1, ("change", "parent"))):
+            expected += [(side, workload, seed, trace) for trace in (0, 1) for side in order]
+    assert calls == expected
+    for tag, side, wall in (("old", "parent", 1.0), ("new", "change", 2.0)):
+        written = json.loads((tmp_path / f"BENCH_{tag}.json").read_text())
+        assert written["tag"] == tag and written["environment"] == {"tree": side}
+        for workload in ("w", "v"):
+            runs = written["workloads"][workload]["runs"]
+            assert [(r["seed"], r["trace"]) for r in runs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+            assert written["workloads"][workload]["end_to_end"] == {"wall_s": wall + 0.5}
+    with pytest.raises(SystemExit):
+        record.main(["--tag", "new", "--parent-root", str(trees["parent"])])
+
+
 STUB_WORKLOADS = '''
 from dataclasses import dataclass
 
