@@ -921,14 +921,19 @@ class TestCLI:
         assert (tmp_path / "cli_blocks.report.json").exists()
         assert (tmp_path / "cli_blocks.decay.csv").exists()
 
-    def test_repeated_output_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("repeats", [1, 2])
+    def test_repeated_output_is_config_error(self, tmp_path, capsys, repeats):
         first = self.write_config(tmp_path / "a", name="same", seed=3)
-        second = self.write_config(tmp_path / "b", name="same", seed=5)
+        later = [
+            self.write_config(tmp_path / f"b{k}", name="same", seed=5 + k)
+            for k in range(repeats)
+        ]
         out = tmp_path / "out"
-        code = cli.main([str(first), str(second), "--output-dir", str(out)])
+        code = cli.main([str(first), *map(str, later), "--output-dir", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{second}: config error" in err and str(first) in err
+        for path in later:
+            assert f"{path}: config error: name: writes the same files as {first}" in err
         payload = json.loads((out / "same.report.json").read_text())
         assert payload["config"]["seed"] == 3
 
