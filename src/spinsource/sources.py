@@ -352,15 +352,17 @@ def _hidden_states(source) -> int | None:
     return None if chain is None else chain.initial.size
 
 
-def _check_pairs_cap(site_dim: int, a_sites: int, b_sites: int, max_gap: int) -> None:
-    """_chain_pairs' largest array, rho's level at the widest gap with d**(2a+2b+gap)
-    entries, fits dense_cap()**2 entries, as many as the densest state the cap allows."""
-    cap, exponent = dense_cap() ** 2, 2 * (a_sites + b_sites) + max_gap
-    if exponent <= cap.bit_length() and site_dim**exponent <= cap:
+def _check_pairs_cap(site_dim: int, hidden: int, a_sites: int, b_sites: int, max_gap: int) -> None:
+    """_chain_pairs' largest arrays at the widest gap fit dense_cap()**2 entries, as many as
+    the densest state the cap allows: rho's level holds d**2 x d**(2a+2b+gap-2) entries, and
+    the stacks of the hidden states' blocks a step forms hidden x d**(2a+2b+gap-2)."""
+    cap, exponent = dense_cap() ** 2, 2 * (a_sites + b_sites) + max_gap - 2
+    width = max(hidden, site_dim**2)
+    if exponent <= cap.bit_length() and width * site_dim**exponent <= cap:
         return
     raise CapExceededError(
-        f"dense chain kernel array of {site_dim}**{exponent} entries exceeds cap {cap} "
-        f"(the dense cap squared; override with {DENSE_CAP_ENV})",
+        f"dense chain kernel array of {width} x {site_dim}**{exponent} entries ({hidden} hidden states) "
+        f"exceeds cap {cap} (the dense cap squared; override with {DENSE_CAP_ENV})",
         cap=cap,
     )
 
@@ -382,7 +384,7 @@ def _correlation_route(source: QuantumSource, a_sites: int, b_sites: int, max_ga
         _check_cap(source.site_dim, a_sites + max_gap + b_sites)
         return "dense"
     if backend == "dense":
-        _check_pairs_cap(source.site_dim, a_sites, b_sites, max_gap)
+        _check_pairs_cap(source.site_dim, hidden, a_sites, b_sites, max_gap)
         return "dense"
     _check_word_cap(hidden, max(a_sites, b_sites), hidden)
     return "transfer"

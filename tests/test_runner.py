@@ -1006,8 +1006,9 @@ class TestCapsAtLoad:
 
     def test_dense_sweep_past_cap_runs_no_check(self, tmp_path, capsys, check_calls):
         # a chain source's dense correlations are capped by the chain kernel's largest array,
-        # d**(2a + 2b + gap) entries at the widest gap 39, against the dense cap squared
-        with pytest.raises(ss.CapExceededError, match=r"dense chain kernel array of 2\*\*43 entries exceeds"):
+        # max(hidden, d**2) x d**(2a + 2b + gap - 2) entries at the widest gap 39, against
+        # the dense cap squared
+        with pytest.raises(ss.CapExceededError, match=r"dense chain kernel array of 4 x 2\*\*41 entries \(2 hidden states\) exceeds"):
             ExperimentConfig.from_dict(DEFECT_CAP_CONFIG)
         path = tmp_path / "past_cap.json"
         path.write_text(json.dumps(DEFECT_CAP_CONFIG))
@@ -1056,10 +1057,10 @@ class TestCapsAtLoad:
         "fits, past, message",
         [
             # sweep: the chain kernel's array at the widest gap n_max - block holds
-            # d**(4 block + n_max - block) entries, against the cap squared
+            # max(hidden, d**2) x d**(3 block + n_max - 2) entries, against the cap squared
             ({"tests": ["strong"], "n_max": 14, "block_sites": 2},
              {"tests": ["strong"], "n_max": 15, "block_sites": 2},
-             r"dense chain kernel array of 2\*\*21 entries exceeds cap 1048576"),
+             r"dense chain kernel array of 4 x 2\*\*19 entries \(2 hidden states\) exceeds cap 1048576"),
             ({"tests": ["consistency"], "check_sites": 10}, {"tests": ["consistency"], "check_sites": 11},
              r"side 2048 exceeds cap 1024"),
             # the checks run whole channel blocks: 11 sites in blocks of 2 check 10
@@ -1075,6 +1076,18 @@ class TestCapsAtLoad:
         ExperimentConfig.from_dict({**base, **fits})
         with pytest.raises(ss.CapExceededError, match=message):
             ExperimentConfig.from_dict({**base, **past})
+
+    def test_dense_kernel_cap_counts_hidden_states(self):
+        # at the widest gap 19, a 2-state chain's kernel holds 4 x 2**21 entries, within
+        # the cap squared 2**24; 16 iid components stack 16 hidden blocks of 2**21 entries
+        two_states = {**DEFECT_CAP_CONFIG, "n_max": 20, "check_sites": 4}
+        assert ExperimentConfig.from_dict(two_states).n_max == 20
+        mixture = correlated({
+            "kind": "mixture", "weights": [1 / 16] * 16, "components": [{"kind": "iid", "probs": [0.5, 0.5]}] * 16,
+        })
+        with pytest.raises(ss.CapExceededError,
+                           match=r"kernel array of 16 x 2\*\*21 entries \(16 hidden states\) exceeds cap 16777216"):
+            ExperimentConfig.from_dict({**two_states, "source": mixture})
 
     @pytest.mark.parametrize("backend", ["auto", "transfer"])
     def test_chain_routes_skip_the_sweep_cap_and_build_no_chain(self, monkeypatch, backend):
@@ -1160,7 +1173,7 @@ class TestCapsAtLoad:
             ExperimentConfig.from_dict({**DEFECT_CAP_CONFIG, "backend": "transfer", "check_sites": 13})
 
     def test_huge_site_count_fails_without_the_power(self):
-        with pytest.raises(ss.CapExceededError, match=r"kernel array of 3\*\*1000000003 entries exceeds"):
+        with pytest.raises(ss.CapExceededError, match=r"kernel array of 9 x 3\*\*1000000001 entries \(1 hidden states\) exceeds"):
             ExperimentConfig.from_dict({
                 **DEFECT_CAP_CONFIG, "site_dim": 3, "n_max": 10**9, "tests": ["weak"],
                 "source": {"kind": "iid", "state": (np.eye(3) / 3).tolist()},

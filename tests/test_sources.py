@@ -298,7 +298,7 @@ class TestCorrelations:
         transfer = ss.source_correlation(fleet["aperiodic"], a, b, [12], "transfer")
         assert np.max(np.abs(dense - transfer)) <= 1e-12
         assert ss.sweep_report(fleet["aperiodic"], 1, 14, "dense").backend == "dense"
-        with pytest.raises(CapExceededError, match=r"dense chain kernel array of 2\*\*25 entries exceeds cap 16777216"):
+        with pytest.raises(CapExceededError, match=r"dense chain kernel array of 4 x 2\*\*23 entries \(2 hidden states\) exceeds cap 16777216"):
             ss.source_correlation(fleet["aperiodic"], a, b, [0, 21], "dense")
 
     def test_chainless_dense_cap_counts_rho_side(self, fleet):

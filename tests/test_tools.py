@@ -208,23 +208,20 @@ def test_record_alternates_parent_and_change(tmp_path, monkeypatch):
 
     monkeypatch.setattr(record, "run_one", fabricated_run)
     monkeypatch.setattr(record, "HERE", tmp_path / "tools")
-    args = ["--tag", "new", "--root", str(trees["change"]), "--parent-root", str(trees["parent"]),
-            "--parent-tag", "old", "--seeds", "0", "1"]
+    args = ["--tag", "new", "--root", str(trees["change"]), "--parent-root", str(trees["parent"]), "--seeds", "0", "1"]
     assert record.main(args) == 0
     expected = []
     for workload in ("w", "v"):
         for seed, order in ((0, ("parent", "change")), (1, ("change", "parent"))):
             expected += [(side, workload, seed, trace) for trace in (0, 1) for side in order]
     assert calls == expected
-    for tag, side, wall in (("old", "parent", 1.0), ("new", "change", 2.0)):
+    for tag, side, wall in (("new_parent", "parent", 1.0), ("new", "change", 2.0)):
         written = json.loads((tmp_path / f"BENCH_{tag}.json").read_text())
         assert written["tag"] == tag and written["environment"] == {"tree": side}
         for workload in ("w", "v"):
             runs = written["workloads"][workload]["runs"]
             assert [(r["seed"], r["trace"]) for r in runs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
             assert written["workloads"][workload]["end_to_end"] == {"wall_s": wall + 0.5}
-    with pytest.raises(SystemExit):
-        record.main(["--tag", "new", "--parent-root", str(trees["parent"])])
 
 
 STUB_WORKLOADS = '''

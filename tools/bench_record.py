@@ -1,8 +1,7 @@
 """Record BENCH_<tag>.json from the repository's benchmark, and optionally
-BENCH_<parent tag>.json from a parent tree in the same call.
+BENCH_<tag>_parent.json from a parent tree in the same call.
 
-    python3 tools/bench_record.py --tag T [--root DIR] [--seeds 0 1]
-                                  [--parent-root PDIR --parent-tag PT]
+    python3 tools/bench_record.py --tag T [--root DIR] [--seeds 0 1] [--parent-root PDIR]
 
 Runs ``DIR/perfbench/run.py`` (DIR defaults to the repository holding
 this script) for every workload of ``DIR/BENCHMARK.json`` and every seed,
@@ -113,16 +112,12 @@ def main(argv=None) -> int:
     parser.add_argument("--tag", required=True)
     parser.add_argument("--root", type=Path, default=HERE.parent, help="repository whose benchmark runs")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
-    parser.add_argument("--parent-root", type=Path, help="parent repository, run alternately with --root")
-    parser.add_argument("--parent-tag", help="tag of the parent's record, required with --parent-root")
+    parser.add_argument("--parent-root", type=Path,
+                        help="parent repository, run alternately with --root and recorded as <tag>_parent")
     args = parser.parse_args(argv)
-    if (args.parent_root is None) != (args.parent_tag is None):
-        parser.error("--parent-root and --parent-tag go together")
     trees = {args.tag: args.root.resolve()}
     if args.parent_root is not None:
-        if args.parent_tag == args.tag:
-            parser.error("--parent-tag must differ from --tag")
-        trees = {args.parent_tag: args.parent_root.resolve(), **trees}
+        trees = {f"{args.tag}_parent": args.parent_root.resolve(), **trees}
     for root in trees.values():
         if not (root / "perfbench" / "run.py").is_file() or not (root / "BENCHMARK.json").is_file():
             print(f"error: no perfbench/run.py and BENCHMARK.json under {root}", file=sys.stderr)
