@@ -28,9 +28,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import AlignmentError, CapExceededError
 from .operators import Operator, _check_cap, random_observable, word_projector
-from .sources import _correlation_route, source_block_mean, source_correlation
+from .sources import _correlation_route, _span, source_block_mean, source_correlation
 
 DEFAULT_N_MAX = 2000
 # short dense horizons leave larger finite-size remainders, hence the looser dense default
@@ -43,11 +43,18 @@ _PROJECTOR_LIMIT = 8
 _SWEEP_ROW_CAP = 5 * 10**6
 
 
+def _shift_route(source, a_sites: int, b_sites: int, n_max: int, backend: str) -> str:
+    """_correlation_route over shifts a_sites..n_max, not all whole blocks of a k > 1-site chain."""
+    if _span(source) > 1:
+        raise AlignmentError(f"a sweep's shifts are not all whole blocks of the source's {_span(source)} sites")
+    return _correlation_route(source, a_sites, b_sites, n_max - a_sites, backend)
+
+
 def _sweep_plan(source, block_sites: int, n_max: int, backend: str, tol: float | None, random_pair_count: int):
     """sweep_report's (backend, tol), once each cap fits, in this order and with nothing built:
     the observables' side, the route's cap at the widest gap and the rows, pairs x shifts."""
     _check_cap(source.site_dim, block_sites)
-    backend = _correlation_route(source, block_sites, block_sites, n_max - block_sites, backend)
+    backend = _shift_route(source, block_sites, block_sites, n_max, backend)
     pairs = min(source.site_dim**block_sites, _PROJECTOR_LIMIT) + random_pair_count
     shifts = n_max - block_sites + 1
     if pairs * shifts > _SWEEP_ROW_CAP:
@@ -198,7 +205,7 @@ def pair_report(
     b past a.  tol defaults to 1e-2 on the transfer route and 5e-2 on the
     dense route.
     """
-    backend = _correlation_route(source, a.sites, b.sites, n_max - a.sites, backend)
+    backend = _shift_route(source, a.sites, b.sites, n_max, backend)
     tol = _DEFAULT_TOL[backend] if tol is None else tol
     shifts = np.arange(a.sites, n_max + 1)
     if shifts.size < 4:

@@ -41,12 +41,10 @@ in parentheses):
 
     MATRIX entries are numbers or [re, im] pairs.
 
-Loading decodes the source and channel once and, before any work runs,
-makes the same cap checks a run makes (CapExceededError; the CLI exits 3),
-through the library's own pre-flights, which library callers meet too: the
-checks' sources._check_plan (the dense side site_dim**max_sites on every
-backend; max_sites: check_sites in whole channel blocks), then sweep_report's
-ergodicity._sweep_plan.
+Loading decodes the source and channel once and, before any work runs, makes
+the same cap checks a run makes (CapExceededError; the CLI exits 3) through
+the pre-flights library callers meet too: sources._check_plan (the checks'
+builds of rho, on every backend), then ergodicity._sweep_plan.
 The channel's Kraus count (KRAUS_COUNT_CAP) is checked as it is decoded.
 
 emit_report formats a long decay CSV on every CPU the process may run on:

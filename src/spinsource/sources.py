@@ -6,42 +6,32 @@ that tracing out trailing sites recovers the shorter states
 does too.  Each rho_m is a plain Operator, a state by construction.
 
 Every library source is one emission chain (initial, transition, states):
-a hidden Markov chain that emits the one-site state S_h from state h, so
-rho_m = sum_h initial(h_1) P[h_1, h_2] .. P[h_m-1, h_m] S_h1 (x) .. (x) S_hm.
+a hidden Markov chain that emits the state S_h of a block of k sites from
+state h, so rho_m = sum_h initial(h_1) P[h_1, h_2] .. S_h1 (x) .. (x) S_hj
+over j = m/k blocks.  iid sigma is one hidden state with S_0 = sigma; a
+classically correlated source has its process's hidden chain with
+S_h = sum_x emission[h, x] |psi_x><psi_x|; a channel E on c sites emits
+E(S_h) from the base chain, first regrouped over runs of blocks when c is
+no multiple of the base's k (the blocking property of finitely correlated
+states, Fannes, Nachtergaele and Werner 1992), so transforms compose.
 
-* iid sigma: one hidden state with S_0 = sigma;
-* classically correlated: the symbol process's hidden chain with
-  S_h = sum_x emission[h, x] |psi_x><psi_x|;
-* a one-site channel E on every site: the base chain emitting E(S_h),
-  so transforms compose (the commutative case of finitely correlated
-  states, Fannes, Nachtergaele and Werner 1992).  A channel on k > 1
-  sites has no chain; it acts on the base state and runs dense only.
+A source keeps each rho_m it builds, read-only and without a copy (a convex
+sum of products of validated states is a finite state), at most D^2/(D^2-1)
+times the largest one, D = d^k; the n blocks one block short of the last
+(n/D^2 times its memory), so the next site count costs one chain step; and
+its hidden MarkovProcess, from the first transfer correlation on.
 
-A source keeps each rho_m it builds for its own lifetime, so a repeat call
-returns the same read-only Operator.  A chain's rho_m is wrapped as built,
-without a copy: its one-site states were validated once, and a convex sum
-of their products is a finite state.  The kept states take at most
-d^2/(d^2-1) times the largest state (4/3 for qubits), and a k-site
-transform's base keeps its own too.
-A chain source also keeps the n blocks one site short of the last state it
-built (n/d^2 times that state's memory), so the next site count costs one
-step of the chain, not m.  It keeps its hidden chain as one MarkovProcess
-too, built on the first transfer correlation.
-
-Correlations corr(gap) = tr(rho (a (x) I^gap (x) b)) run densely (gap
-sites traced out of rho_{a+gap+b}, then paired with a and b) or on the
-transfer route, which pairs a and b with the emitted states and hands the
-resulting tables of hidden words to the classical correlation sweep of
-the hidden Markov chain, so gaps in the thousands cost no exponential
-memory.  The dense route of a chain source forms only rho's entries that
-are diagonal on the gap sites, stepped from the chain, bitwise as rho has
-them; a chainless source builds its explicit rho_{a+gap+b}.
+Correlations corr(gap) = tr(rho (a (x) I^gap (x) b)) run densely, forming
+only rho_{a+gap+b}'s entries diagonal on the gap, bitwise as rho has them,
+or on the transfer route, where the hidden chain's classical correlation
+sweep carries a's and b's tables over hidden words across any gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from operator import index
 from typing import NamedTuple
 
@@ -49,9 +39,10 @@ import numpy as np
 
 from .channels import KrausChannel, _block_sites, _require_trace_preserving, apply_channel, validate_alphabet
 from .classical import ClassicalProcess, MarkovProcess, _check_word_cap, _gap_array, classical_correlation_sweep
-from .errors import BackendError, CapExceededError, ShapeMismatchError
+from .errors import AlignmentError, BackendError, CapExceededError, ShapeMismatchError
 from .operators import (
-    DENSE_CAP_ENV, DensityOperator, Operator, _check_cap, _owned_operator, dense_cap, density_operator, trace_pairing,
+    DENSE_CAP_ENV, DensityOperator, Operator, _check_cap, _owned_operator, dense_cap, density_operator,
+    embed_observable, tensor_product, trace_pairing,
 )
 
 SOURCE_CHECK_TOL = 1e-9
@@ -89,7 +80,7 @@ def computational_alphabet(size: int, site_dim: int | None = None) -> AlphabetSp
 
 
 class EmissionChain(NamedTuple):
-    """initial (n,), transition (n, n) and one-site states (n, d, d), all read-only."""
+    """initial (n,), transition (n, n) and block states (n, D, D), all read-only."""
 
     initial: np.ndarray
     transition: np.ndarray
@@ -101,6 +92,23 @@ def _emission_chain(hidden, states) -> EmissionChain:
     states = np.array(states, dtype=complex)
     states.setflags(write=False)
     return EmissionChain(hidden.initial, hidden.transition, states)
+
+
+def _regroup(chain: EmissionChain, runs: int) -> EmissionChain:
+    """chain over runs of ``runs`` blocks: hidden states (h, l), a run's first and last, with
+    w = P^(runs-1)[h, l] > 0; initial pi_h w(h, l), transition P[l, h'] w(h', l') and states
+    sum_paths prod P S_h1 (x) .. (x) S_hruns / w(h, l), capped before the n^2 path sums exist."""
+    p, s = chain.transition, chain.states
+    n, dim = s.shape[:2]
+    _check_chain_cap(dim**runs, n * n, 2)
+    paths = np.eye(n)[:, :, None, None] * s[None]  # runs of one block: l = h
+    for _ in range(runs - 1):
+        mixed, side = np.einsum("hgab,gl->hlab", paths, p), paths.shape[2] * dim
+        paths = (mixed[:, :, :, None, :, None] * s[None, :, None, :, None, :]).reshape(n, n, side, side)
+    w = np.linalg.matrix_power(p, runs - 1)
+    h, l = np.nonzero(w > 0)
+    hidden = MarkovProcess(p[l[:, None], h] * w[h, l], chain.initial[h] * w[h, l])  # checked and frozen
+    return _emission_chain(hidden, paths[h, l] / w[h, l][:, None, None])
 
 
 def _emit(states: np.ndarray, mixed: np.ndarray, out=None) -> np.ndarray:
@@ -120,9 +128,9 @@ def _mix(transition: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def _step(chain: EmissionChain, mixed: np.ndarray | None) -> np.ndarray:
-    """M_{j+1} from M_j, stacked (n, R, C): M_j(h) = sum_g P[h, g] T_j(g) is the j-site
+    """M_{j+1} from M_j, stacked (n, R, C): M_j(h) = sum_g P[h, g] T_j(g) is the j-block
     state that follows hidden state h, and T_{j+1}(h) = S_h (x) M_j(h) what h emits over
-    j + 1 sites; None stands for M_0, with T_1 = S.  R = C for a whole M_j; the dense
+    j + 1 blocks; None stands for M_0, with T_1 = S.  R = C for a whole M_j; the dense
     correlations also step blocks that keep only some of M_j's rows."""
     if mixed is None:
         return _mix(chain.transition, chain.states)
@@ -150,8 +158,8 @@ def _chain_pairs(chain: EmissionChain, a_sites: int, b_sites: int, gaps) -> dict
     Only rho's entries that are diagonal on the gap sites are formed, each by the
     products and sums that form it in rho, in the same order, so the result is
     bitwise what tracing the gap out of the full rho gives.  The blocks climb from
-    the right: M_b by whole steps; then one step per gap site, which keeps a gap
-    site's diagonal S_h[z, z] only, so the kept blocks are (n, d^gap * db, db); then,
+    the right: M_b by whole steps; then one step per gap block, which keeps a gap
+    block's diagonal S_h[z, z] only, so the kept blocks are (n, d^gap * db, db); then,
     for each requested gap, the a-block's whole steps and rho's level on those."""
     d = chain.states.shape[1]
     diagonals = np.diagonal(chain.states, axis1=1, axis2=2)[:, :, None, None]
@@ -180,13 +188,26 @@ def _count(value, what: str) -> int:
     return index(value)
 
 
+def _whole_blocks(span: int, sites: int) -> int:
+    """sites as a count of span-site blocks, or AlignmentError."""
+    if sites % span:
+        raise AlignmentError(f"the source's blocks span {span} sites, which does not divide {sites}")
+    return sites // span
+
+
+def _check_build_cap(source, sites: int) -> None:
+    """rho_m over j blocks (rounded up) and the kept M_{j-1}, n blocks of D**(2j-2) entries, fit."""
+    span = _span(source)
+    _check_chain_cap(source.site_dim**span, _hidden_states(source), 2 * -(-sites // span) - 2)
+
+
 def _density(source, sites: int) -> Operator:
     """rho_m of a library source, built on the first call for m and kept with the source.
     The cap is checked on every call; a build that raises keeps nothing."""
     sites = _count(sites, "site count")
     if sites < 1:
         raise ValueError(f"site count must be >= 1, got {sites}")
-    _check_cap(source.site_dim, sites)
+    _check_build_cap(source, sites)
     built = source.__dict__.setdefault("_densities", {})
     if sites not in built:
         built[sites] = _build_density(source, sites)
@@ -194,27 +215,23 @@ def _density(source, sites: int) -> Operator:
 
 
 def _build_density(source, sites: int) -> Operator:
-    """rho_m from the emission chain, or the k-site channel on the base state of a
-    chainless source.  M_{m-1} is stepped from the blocks kept from the source's last
-    build when those are below it, else from M_0, and is kept once rho_m is built.
-    A chain's rho_m is a convex sum of products of its validated one-site states, so it
-    is finite by construction and is frozen in place, not copied and scanned again."""
-    chain = source.chain
-    if chain is None:
-        return apply_channel(source.channel, source.base.density(sites))
+    """rho_m from the emission chain in j = m/k steps of its k-site blocks.  M_{j-1} is
+    stepped from the blocks kept from the source's last build when those are below it,
+    else from M_0, and is kept once rho_m is built; rho_m is frozen in place, as built."""
+    blocks, chain = _whole_blocks(_span(source), sites), source.chain
     level, mixed = source.__dict__.get("_blocks", (0, None))
-    if level >= sites:
+    if level >= blocks:
         level, mixed = 0, None
-    for _ in range(level, sites - 1):
+    for _ in range(level, blocks - 1):
         mixed = _step(chain, mixed)
     state = _owned_operator(_chain_density(chain, mixed), sites, source.site_dim)
-    source.__dict__["_blocks"] = (sites - 1, mixed)
+    source.__dict__["_blocks"] = (blocks - 1, mixed)
     return state
 
 
 def _state_table(states: np.ndarray, a: Operator) -> np.ndarray:
     """Table f[h_1..h_m] = tr((S_h1 (x) .. (x) S_hm) a) over words of a's length,
-    for one-site states S of shape (n, d, d)."""
+    for block states S of shape (n, D, D) and a on D-dimensional sites."""
     t = a.entries.reshape((a.site_dim,) * (2 * a.sites))
     for rest in range(a.sites, 0, -1):  # pair the leading row and column site with S_h
         t = np.tensordot(t, states, axes=([0, rest], [2, 1]))
@@ -286,27 +303,26 @@ class ClassicallyCorrelatedSource:
 
 @dataclass(frozen=True, eq=False)
 class ChannelTransformedSource:
-    """rho_m = E^(x m)(base rho_m) for a trace-preserving E, checked on construction.
-
-    A one-site E folds into the base's emission chain: S_h -> E(S_h), each
-    by one apply_channel call.  A user-built E on k > 1 sites, or a base
-    without a chain, leaves ``chain`` None: E acts blockwise on the base
-    state, k must divide m, and correlations run dense only.
-    """
+    """rho_m = E^(x m/c)(base rho_m) for a trace-preserving E on c sites and a library
+    base, both checked on construction.  E folds into the base's emission chain,
+    S_h -> E(S_h), each by one apply_channel call, after the chain is regrouped over
+    runs of its b-site blocks when c is no multiple of b; lcm(b, c) must divide m."""
 
     base: "QuantumSource"
     channel: KrausChannel
 
     def __post_init__(self):
-        _block_sites(self.base.site_dim, self.channel.dim)
+        if not isinstance(self.base, QuantumSource):
+            raise TypeError(f"a channel transforms a library source, not a {type(self.base).__name__}")
+        span = lcm(_span(self.base), _block_sites(self.base.site_dim, self.channel.dim))
         _require_trace_preserving(self.channel)
+        self.__dict__["_span"] = span  # past the frozen __setattr__, as the kept states are
 
     @cached_property
-    def chain(self) -> EmissionChain | None:
-        if _hidden_states(self) is None:
-            return None
-        base, d = self.base.chain, self.site_dim
-        states = [apply_channel(self.channel, Operator(s, 1, d)).entries for s in base.states]
+    def chain(self) -> EmissionChain:
+        span, inner = _span(self), _span(self.base)
+        base = self.base.chain if span == inner else _regroup(self.base.chain, span // inner)
+        states = [apply_channel(self.channel, Operator(s, span, self.site_dim)).entries for s in base.states]
         return _emission_chain(base, states)
 
     @property
@@ -337,56 +353,48 @@ def channel_transform_source(source: QuantumSource, channel: KrausChannel) -> Ch
 # ---------------------------------------------------------------------------
 
 
-def _hidden_states(source) -> int | None:
-    """The hidden-state count of source's emission chain, or None without one, decided
-    without building a chain: a channel on k > 1 sites leaves none, as does a base without one."""
+def _span(source) -> int:
+    """Sites per block of a library source's emission chain: the lcm of its channels' spans,
+    decided as each transform is constructed."""
+    return getattr(source, "_span", 1)
+
+
+def _hidden_states(source) -> int:
+    """The hidden-state count of a library source's chain, built only for k > 1-site blocks."""
+    if _span(source) > 1:
+        return source.chain.initial.size
     while isinstance(source, ChannelTransformedSource):
-        if source.channel.dim != source.site_dim:
-            return None
         source = source.base
-    if isinstance(source, IIDSource):
-        return 1
-    if isinstance(source, ClassicallyCorrelatedSource):
-        return source.process.chain.initial.size
-    chain = getattr(source, "chain", None)  # a source family from outside the library
-    return None if chain is None else chain.initial.size
+    return 1 if isinstance(source, IIDSource) else source.process.chain.initial.size
 
 
-def _check_pairs_cap(site_dim: int, hidden: int, a_sites: int, b_sites: int, max_gap: int) -> None:
-    """_chain_pairs' largest arrays at the widest gap fit dense_cap()**2 entries, as many as
-    the densest state the cap allows: rho's level holds d**2 x d**(2a+2b+gap-2) entries, and
-    the stacks of the hidden states' blocks a step forms hidden x d**(2a+2b+gap-2)."""
-    cap, exponent = dense_cap() ** 2, 2 * (a_sites + b_sites) + max_gap - 2
-    width = max(hidden, site_dim**2)
-    if exponent <= cap.bit_length() and width * site_dim**exponent <= cap:
+def _check_chain_cap(block_dim: int, hidden: int, exponent: int) -> None:
+    """A level of states, D**2 x D**exponent entries (D the block dimension), and the hidden
+    states' blocks beside it, hidden x D**exponent, fit dense_cap()**2, the densest state's."""
+    cap, width = dense_cap() ** 2, max(hidden, block_dim**2)
+    if exponent <= cap.bit_length() and width * block_dim**exponent <= cap:
         return
     raise CapExceededError(
-        f"dense chain kernel array of {width} x {site_dim}**{exponent} entries ({hidden} hidden states) "
+        f"dense chain kernel array of {width} x {block_dim}**{exponent} entries ({hidden} hidden states) "
         f"exceeds cap {cap} (the dense cap squared; override with {DENSE_CAP_ENV})",
         cap=cap,
     )
 
 
 def _correlation_route(source: QuantumSource, a_sites: int, b_sites: int, max_gap: int, backend: str) -> str:
-    """The backend that correlations of a_sites- and b_sites-site observables at
-    gaps up to max_gap run on, once that route's cap fits: on the dense route, the
-    chain kernel's largest array for a source with an emission chain, else the side
-    d**(a+gap+b) of the rho a chainless source builds; on the transfer route, the
-    sweep's table of n**max(a, b) hidden words by n end states.  "auto" picks
-    transfer exactly when the source has an emission chain, which "transfer" needs.
-    Nothing is built to decide."""
+    """The backend ("auto" is transfer) for a_sites- and b_sites-site observables at gaps up to
+    max_gap, once its cap fits in whole blocks: the dense route's _chain_pairs arrays at the
+    widest gap, or the transfer sweep's table of n**max(a, b) hidden words by n end states."""
     if backend not in ("auto", "dense", "transfer"):
         raise BackendError(f"unknown backend {backend!r}")
-    hidden = _hidden_states(source)
-    if backend == "transfer" and hidden is None:
-        raise BackendError(f"transfer backend needs an emission chain, which a {type(source).__name__} lacks")
-    if hidden is None:
-        _check_cap(source.site_dim, a_sites + max_gap + b_sites)
+    if not isinstance(source, QuantumSource):
+        raise BackendError(f"correlations need a library source's chain, which a {type(source).__name__} lacks")
+    hidden, span = _hidden_states(source), _span(source)
+    a_blocks, b_blocks, widest = -(-a_sites // span), -(-b_sites // span), a_sites + max_gap + b_sites
+    if backend == "dense":  # the widest a + gap + b in blocks, rounded down
+        _check_chain_cap(source.site_dim**span, hidden, a_blocks + b_blocks + widest // span - 2)
         return "dense"
-    if backend == "dense":
-        _check_pairs_cap(source.site_dim, hidden, a_sites, b_sites, max_gap)
-        return "dense"
-    _check_word_cap(hidden, max(a_sites, b_sites), hidden)
+    _check_word_cap(hidden, max(a_blocks, b_blocks), hidden)
     return "transfer"
 
 
@@ -404,34 +412,36 @@ def source_correlation(
 ) -> np.ndarray:
     """corr(gap) = tr(rho_{ma+gap+mb} (a (x) I^(x gap) (x) b)) for each gap.
 
-    backend "dense" traces the gap sites out of rho_{ma+gap+mb} (site
-    count limited by the dense cap) and pairs the two-block state with a
-    and b, so no operator of rho's side is formed.  A source with an
-    emission chain forms only the entries of rho that the trace reads,
-    those diagonal on the gap sites, by the products and sums that form
-    them in rho, so the result is bitwise the full-rho one and no rho is
-    built; a chainless source builds and keeps each rho_{ma+gap+mb}.
-
-    "transfer" pairs a and b with the emitted states,
-    f[h_1..h_ma] = tr((S_h1 (x) .. (x) S_hma) a) and likewise g for b, and
-    takes the hidden Markov chain's classical correlation of f and g;
-    "auto" picks transfer when the source has an emission chain.
+    backend "dense" traces the gap out of rho_{ma+gap+mb}, forming only the entries the
+    trace reads, bitwise as rho has them.  "transfer" (and "auto") takes the hidden chain's
+    classical correlation of f[h_1..h_ma] = tr((S_h1 (x) .. (x) S_hma) a) and likewise g
+    for b.  On k-site blocks, k must divide ma + gap + mb, a is padded on the right and b
+    on the left to whole blocks, and where a's last block is b's first, the block mean.
     """
     gaps = _gap_array(gaps)
     if a.site_dim != source.site_dim or b.site_dim != source.site_dim:
         raise ShapeMismatchError("observable site dim does not match source")
-    if _correlation_route(source, a.sites, b.sites, int(gaps.max(initial=0)), backend) == "dense":
+    backend = _correlation_route(source, a.sites, b.sites, int(gaps.max(initial=0)), backend)
+    span = _span(source)
+    if span == 1:
+        return _chain_correlation(source, a, b, gaps, backend)
+    for sites in (a.sites + gaps + b.sites).tolist():
+        _whole_blocks(span, sites)
+    pad_a, pad_b = -a.sites % span, -b.sites % span
+    shared, out = gaps == pad_a + pad_b - span, np.empty(gaps.size, dtype=complex)
+    if shared.any():
+        out[shared] = source_block_mean(source, tensor_product(embed_observable(a, 0, pad_a + pad_b - span), b))
+    blocked = (embed_observable(a, 0, pad_a), embed_observable(b, pad_b, 0))
+    a, b = (Operator(x.entries, x.sites // span, source.site_dim**span) for x in blocked)
+    out[~shared] = _chain_correlation(source, a, b, (gaps[~shared] - pad_a - pad_b) // span, backend)
+    return out
+
+
+def _chain_correlation(source, a: Operator, b: Operator, gaps: np.ndarray, backend: str) -> np.ndarray:
+    """source_correlation for a and b on whole blocks of source's chain and gaps in blocks."""
+    if backend == "dense":
         gaps = gaps.tolist()
-        if _hidden_states(source) is not None:
-            pairs = _chain_pairs(source.chain, a.sites, b.sites, gaps)
-        else:
-            pairs = {}
-            da, db = a.dim, b.dim
-            for gap in gaps:
-                rho = source.density(a.sites + gap + b.sites).entries
-                g = source.site_dim**gap
-                # the gap's partial trace reads only its diagonal: da^2 db^2 g entries of rho
-                pairs[gap] = np.einsum("agbcgd->abcd", rho.reshape(da, g, db, da, g, db))
+        pairs = _chain_pairs(source.chain, a.sites, b.sites, gaps)
         return np.array([np.einsum("abcd,ca,db->", pairs[gap], a.entries, b.entries) for gap in gaps], dtype=complex)
     f, g = (_state_table(source.chain.states, x) for x in (a, b))
     return classical_correlation_sweep(_hidden_process(source), f, g, gaps)
@@ -479,14 +489,17 @@ class SourceCheckReport:
 
 
 def _check_plan(source, max_sites: int, block: int) -> tuple:
-    """The reduction checks' (max_sites, block), once both are whole counts, max_sites
-    is at least two whole blocks and rho_max_sites fits the dense cap; nothing is built."""
+    """The reduction checks' (max_sites, block), once both are whole counts, max_sites is at least
+    two blocks and rho_max_sites fits the build cap (a non-library source's: the side cap)."""
     max_sites, block = _count(max_sites, "max_sites"), _count(block, "block")
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     if max_sites < 2 * block or max_sites % block:
         raise ValueError(f"max_sites must be a multiple of {block} and at least {2 * block}, got {max_sites}")
-    _check_cap(source.site_dim, max_sites)
+    if isinstance(source, QuantumSource):
+        _check_build_cap(source, max_sites)
+    else:
+        _check_cap(source.site_dim, max_sites)
     return max_sites, block
 
 

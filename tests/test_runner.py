@@ -879,7 +879,7 @@ class TestCLI:
         assert code == 2
         assert "n_max" in err and "block_sites=6" in err and "Traceback" not in err
 
-    def test_parallel_jobs_byte_identical(self, tmp_path, monkeypatch, fork_calls):
+    def test_threaded_emit_byte_identical(self, tmp_path, monkeypatch, fork_calls):
         p1 = self.write_config(tmp_path, name="par_a")
         p2 = self.write_config(
             tmp_path,
@@ -1022,7 +1022,7 @@ class TestCapsAtLoad:
         [
             ("word_table", r"101\*\*2 words x 101 hidden states exceeds enumeration cap"),
             ("kraus_count", r"4225 Kraus operators exceeds cap 4096"),
-            ("wide_site", r"side 81000000000000 exceeds"),
+            ("wide_site", r"kernel array of 9000000 x 3000\*\*6 entries \(1 hidden states\) exceeds"),
             ("sweep_rows", r"sweep of 4 pairs x 1000000000 shifts exceeds cap 5000000 rows"),
         ],
         ids=list(PAST_CAP_CONFIGS),
@@ -1061,12 +1061,13 @@ class TestCapsAtLoad:
             ({"tests": ["strong"], "n_max": 14, "block_sites": 2},
              {"tests": ["strong"], "n_max": 15, "block_sites": 2},
              r"dense chain kernel array of 4 x 2\*\*19 entries \(2 hidden states\) exceeds cap 1048576"),
+            # checks: rho_m's build holds max(hidden, d**2) x d**(2m - 2) entries, against the cap squared
             ({"tests": ["consistency"], "check_sites": 10}, {"tests": ["consistency"], "check_sites": 11},
-             r"side 2048 exceeds cap 1024"),
+             r"kernel array of 4 x 2\*\*20 entries \(2 hidden states\) exceeds cap 1048576"),
             # the checks run whole channel blocks: 11 sites in blocks of 2 check 10
             ({"tests": ["stationarity"], "check_sites": 11, "channel": {"kind": "identity", "block_sites": 2}},
              {"tests": ["stationarity"], "check_sites": 11, "channel": {"kind": "identity", "block_sites": 1}},
-             r"side 2048 exceeds cap 1024"),
+             r"kernel array of 4 x 2\*\*20 entries \(2 hidden states\) exceeds cap 1048576"),
         ],
         ids=["sweep", "checks", "check_blocks"],
     )
@@ -1088,6 +1089,24 @@ class TestCapsAtLoad:
         with pytest.raises(ss.CapExceededError,
                            match=r"kernel array of 16 x 2\*\*21 entries \(16 hidden states\) exceeds cap 16777216"):
             ExperimentConfig.from_dict({**two_states, "source": mixture})
+
+    def test_check_cap_counts_hidden_states(self, tmp_path, monkeypatch, check_calls):
+        # 12 sites fit the cap's side, but a build of rho_12 keeps 64 hidden states' blocks of 2**22 entries
+        built = []
+        monkeypatch.setattr(ss.sources, "_build_density", lambda *args: built.append(args))
+
+        def mixture(n):
+            return correlated({"kind": "mixture", "weights": [1 / n] * n, "components": [{"kind": "iid", "probs": [0.5, 0.5]}] * n})
+
+        raw = {**DEFECT_CAP_CONFIG, "tests": ["consistency"], "check_sites": 12}
+        assert ExperimentConfig.from_dict({**raw, "source": mixture(2)}).check_sites == 12
+        wide = {**raw, "source": mixture(64)}
+        with pytest.raises(ss.CapExceededError, match=r"kernel array of 64 x 2\*\*22 entries \(64 hidden states\)"):
+            ExperimentConfig.from_dict(wide)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(wide))
+        assert cli.main([str(path), "--output-dir", str(tmp_path)]) == 3
+        assert built == [] and check_calls == [] and not list(tmp_path.glob("dense_past_cap.*"))
 
     @pytest.mark.parametrize("backend", ["auto", "transfer"])
     def test_chain_routes_skip_the_sweep_cap_and_build_no_chain(self, monkeypatch, backend):
@@ -1169,7 +1188,7 @@ class TestCapsAtLoad:
             assert str(in_check.value) == str(at_load.value)
 
     def test_checks_cap_holds_on_every_backend(self):
-        with pytest.raises(ss.CapExceededError, match=r"side 8192 exceeds"):
+        with pytest.raises(ss.CapExceededError, match=r"kernel array of 4 x 2\*\*24 entries \(2 hidden states\) exceeds"):
             ExperimentConfig.from_dict({**DEFECT_CAP_CONFIG, "backend": "transfer", "check_sites": 13})
 
     def test_huge_site_count_fails_without_the_power(self):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import spinsource as ss
 from spinsource.errors import AlignmentError, BackendError, CapExceededError, ShapeMismatchError
@@ -242,8 +244,9 @@ class TestCorrelations:
 
     def test_transfer_needs_supported_base(self, broken_family):
         a = ss.random_observable(1, seed=73)
-        with pytest.raises(BackendError):
-            ss.source_correlation(broken_family, a, a, [0], "transfer")
+        for backend in ("auto", "dense", "transfer"):
+            with pytest.raises(BackendError, match="a BrokenFamily lacks"):
+                ss.source_correlation(broken_family, a, a, [0], backend)
 
     def test_negative_gap_rejected(self, fleet):
         a = ss.random_observable(1, seed=74)
@@ -275,20 +278,13 @@ class TestCorrelations:
         with pytest.raises(CapExceededError):
             ss.source_correlation(fleet["aperiodic"], a, a, [40], "dense")
 
-    def test_dense_cap_checked_before_any_state(self, fleet):
-        built = []
-
-        class Counting:
-            site_dim = 2
-
-            def density(self, sites):
-                built.append(sites)
-                return fleet["aperiodic"].density(sites)
-
+    def test_dense_cap_checked_before_any_state(self, builds):
+        src = cache_sources()["blocked"]
         a = ss.random_observable(1, seed=76)
-        with pytest.raises(CapExceededError):
-            ss.source_correlation(Counting(), a, a, [0, 1, 40], "dense")
-        assert built == []
+        for source, gaps in ((make_fleet()["aperiodic"], [0, 1, 40]), (src, [0, 2, 40])):
+            with pytest.raises(CapExceededError):
+                ss.source_correlation(source, a, a, gaps, "dense")
+        assert builds == []
 
     def test_dense_chain_kernel_capped_by_its_own_array(self, fleet):
         # gap 12: rho_14's side 2**14 is past the cap 4096, but the chain kernel's largest
@@ -301,11 +297,18 @@ class TestCorrelations:
         with pytest.raises(CapExceededError, match=r"dense chain kernel array of 4 x 2\*\*23 entries \(2 hidden states\) exceeds cap 16777216"):
             ss.source_correlation(fleet["aperiodic"], a, b, [0, 21], "dense")
 
-    def test_chainless_dense_cap_counts_rho_side(self, fleet):
-        blocked = ss.channel_transform_source(fleet["iid"], tensor_power(ss.amplitude_damping_channel(0.4), 2))
-        a = ss.random_observable(1, seed=76)
-        with pytest.raises(CapExceededError, match=r"dense matrix side 2\*\*14 exceeds cap 4096"):
-            ss.source_correlation(blocked, a, a, [12], "dense")
+    def test_chainless_dense_cap_counts_rho_side(self, broken_family):
+        # a source from outside the library has no chain: its checks keep the side cap, and
+        # no correlation runs on it
+        built = []
+        broken_family.density = lambda sites: built.append(sites)
+        with pytest.raises(CapExceededError, match=r"dense matrix side 8192 exceeds cap 4096"):
+            ss.check_consistency(broken_family, 13)
+        with pytest.raises(BackendError, match="a BrokenFamily lacks"):
+            ss.source_correlation(broken_family, ss.random_observable(1, seed=76), ss.random_observable(1, seed=77), [0])
+        assert built == []
+        with pytest.raises(TypeError, match="not a BrokenFamily"):
+            ss.channel_transform_source(broken_family, ss.depolarizing_channel(0.3))
 
     def test_transfer_caps_hidden_word_tables(self):
         # 1000 hidden states: the sweep's table over one-site hidden words and end states holds
@@ -461,7 +464,7 @@ class TestEmissionFold:
 
 
 class TestMultiSiteChannel:
-    """A user-built channel on two sites has no emission chain and runs dense only."""
+    """A user-built channel on two sites regroups its base chain into a chain of two-site blocks."""
 
     @pytest.fixture
     def blocked(self, fleet):
@@ -469,26 +472,129 @@ class TestMultiSiteChannel:
 
     def test_density_matches_sitewise(self, fleet, blocked):
         sitewise = ss.channel_transform_source(fleet["iid"], ss.amplitude_damping_channel(0.4))
-        assert blocked.chain is None
+        assert blocked.chain.states.shape == (1, 4, 4)
         for m in (2, 4, 6):
             assert np.max(np.abs(blocked.density(m).entries - sitewise.density(m).entries)) <= 1e-14
         with pytest.raises(AlignmentError):
             blocked.density(3)
 
-    def test_auto_resolves_to_dense(self, blocked, broken_family):
+    def test_auto_resolves_to_transfer(self, blocked, broken_family):
         from spinsource.sources import _correlation_route
 
-        assert _correlation_route(blocked, 1, 1, 0, "auto") == "dense"
-        assert _correlation_route(broken_family, 1, 1, 0, "auto") == "dense"
+        assert _correlation_route(blocked, 1, 1, 0, "auto") == "transfer"
         assert _correlation_route(FOLD_SOURCES[2, "nested"], 1, 1, 0, "auto") == "transfer"
+        with pytest.raises(BackendError, match="a BrokenFamily lacks"):
+            _correlation_route(broken_family, 1, 1, 0, "auto")
 
-    def test_transfer_raises(self, fleet, blocked):
+    def test_transfer_raises(self, fleet, blocked, builds):
+        # on two-site blocks a + gap + b must be even, on both routes, before anything is built
         a = ss.random_observable(2, seed=95)
-        with pytest.raises(BackendError):
-            ss.source_correlation(blocked, a, a, [0], "transfer")
-        dense = ss.source_correlation(blocked, a, a, [0, 2], "auto")
+        for backend in ("dense", "transfer"):
+            with pytest.raises(AlignmentError, match="does not divide 5"):
+                ss.source_correlation(blocked, a, a, [0, 1], backend)
+        assert builds == []
         sitewise = ss.channel_transform_source(fleet["iid"], ss.amplitude_damping_channel(0.4))
-        assert np.max(np.abs(dense - ss.source_correlation(sitewise, a, a, [0, 2], "transfer"))) <= 1e-12
+        want = ss.source_correlation(sitewise, a, a, [0, 2], "transfer")
+        for backend in ("auto", "dense"):
+            assert np.max(np.abs(ss.source_correlation(blocked, a, a, [0, 2], backend) - want)) <= 1e-12
+
+    def test_long_gaps_on_both_routes(self, fleet):
+        src = ss.channel_transform_source(fleet["aperiodic"], tensor_power(ss.amplitude_damping_channel(0.4), 2))
+        a, b = ss.random_observable(2, seed=96), ss.random_observable(2, seed=97)
+        far = ss.source_correlation(src, a, b, [2000], "transfer")
+        assert abs(far[0] - ss.source_block_mean(src, a) * ss.source_block_mean(src, b)) < 1e-12
+        # gap 12: rho_14's side 2**14 is past the cap 4096, but the kernel holds 16 x 4**7 entries
+        a, b = ss.random_observable(1, seed=96), ss.random_observable(1, seed=97)
+        dense = ss.source_correlation(src, a, b, [12], "dense")
+        assert np.max(np.abs(dense - ss.source_correlation(src, a, b, [12], "transfer"))) <= 1e-12
+
+    def test_nested_spans_regroup_to_their_lcm(self, fleet):
+        inner = ss.channel_transform_source(fleet["period2"], ss.random_unitary_channel(8, seed=3))
+        src = ss.channel_transform_source(inner, ss.random_unitary_channel(4, seed=4))
+        assert ss.sources._span(src) == 6 and src.chain.states.shape == (2, 64, 64)
+        assert np.max(np.abs(src.density(6).entries - sitewise_density(src, 6))) <= 1e-14
+        with pytest.raises(AlignmentError, match="blocks span 6 sites, which does not divide 4"):
+            src.density(4)
+
+    def test_sweep_refused_before_any_work(self, blocked, builds, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(ss.ergodicity, "projector_pairs", lambda *args: drawn.append(args) or [])
+        a = ss.random_observable(2, seed=98)
+        for n_max in (8, 2000):
+            with pytest.raises(AlignmentError, match="shifts are not all whole blocks"):
+                ss.sweep_report(blocked, 2, n_max, "dense")
+            with pytest.raises(AlignmentError, match="shifts are not all whole blocks"):
+                ss.pair_report(blocked, a, a, n_max, "dense")
+        assert builds == [] and drawn == []
+
+
+def random_alphabet(size: int, d: int, seed: int) -> ss.AlphabetSpec:
+    v = np.random.default_rng(seed).normal(size=(size, d, 2)) @ [1, 1j]
+    return ss.AlphabetSpec(v / np.linalg.norm(v, axis=1, keepdims=True))
+
+
+def random_base(kind: str, seed: int) -> ss.ClassicallyCorrelatedSource:
+    """A source on a random 2- or 3-state hidden chain: aperiodic, period 2, or a reducible
+    mixture of a Markov chain and an iid process (three hidden states on two symbols)."""
+    rng = np.random.default_rng(seed)
+    n = 3 if kind.endswith("3") else 2
+    t = rng.dirichlet(np.ones(n), size=n)
+    if kind.startswith("period2"):
+        q = t[0, 0]
+        t = np.roll(np.eye(n), 1, axis=1) if n == 2 else [[0, q, 1 - q], [1, 0, 0], [1, 0, 0]]
+    process = ss.MarkovProcess(t)
+    if kind == "reducible":
+        process = ss.MixtureProcess([0.3, 0.7], (process, ss.IIDProcess(rng.dirichlet(np.ones(n)))))
+    return ss.ClassicallyCorrelatedSource(process, random_alphabet(n, n, seed))
+
+
+def mixed_unitary_channel(d: int, seed: int) -> ss.KrausChannel:
+    """sqrt(p) U, sqrt(1 - p) V for two Haar unitaries: a one-site channel with two Kraus operators."""
+    p = 0.1 + 0.8 * (seed % 7) / 7
+    return ss.KrausChannel((p**0.5 * ss.haar_unitary(d, seed), (1 - p) ** 0.5 * ss.haar_unitary(d, seed + 1)), d)
+
+
+class TestBlockChain:
+    """A k-site channel's regrouped chain emits the states the channel makes of the base's."""
+
+    @given(
+        kind=st.sampled_from(["markov2", "markov3", "period2", "period2_3", "reducible"]),
+        span=st.sampled_from([2, 3]),
+        layout=st.sampled_from(["k_site", "one_site_over_k_site", "k_site_over_k_site"]),
+        unitary=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_regrouped_chain_matches_the_kraus_layer(self, kind, span, layout, unitary, seed):
+        base = random_base(kind, seed)
+        d = base.site_dim
+        span = 2 if d == 3 else span  # 3-site blocks at d = 3 would need 729-row states
+
+        def channel(k, offset):
+            if unitary:
+                return ss.random_unitary_channel(d**k, seed=seed + offset)
+            return tensor_power(mixed_unitary_channel(d, seed + offset), k)
+
+        if layout == "k_site":
+            src = ss.channel_transform_source(base, channel(span, 1))
+        elif layout == "one_site_over_k_site":
+            src = ss.channel_transform_source(ss.channel_transform_source(base, channel(span, 1)), channel(1, 2))
+        else:
+            src = ss.channel_transform_source(ss.channel_transform_source(base, channel(span, 1)), channel(span, 2))
+        chain = src.chain
+        assert np.max(np.abs(chain.transition.sum(axis=1) - 1)) <= 1e-14 and abs(chain.initial.sum() - 1) <= 1e-14
+        sitewise = {m: sitewise_density(src, m) for m in (span, 2 * span)}
+        for m, rho in sitewise.items():
+            assert np.max(np.abs(src.density(m).entries - rho)) <= 1e-14, m
+        for ma, mb in ((1, 1), (2, 1), (1, 2)):
+            gaps = [g for g in range(2 * span) if (ma + g + mb) % span == 0 and ma + g + mb <= 2 * span]
+            a = ss.random_observable(ma, seed=seed + ma, site_dim=d)
+            b = ss.random_observable(mb, seed=seed + 10 + mb, site_dim=d)
+            # the full-rho reference on the Kraus layer's states, one-site a and b sharing a block included
+            pads = [np.kron(np.kron(a.entries, np.eye(d**gap)), b.entries) for gap in gaps]
+            want = np.array([np.einsum("ij,ji->", sitewise[ma + gap + mb], pad) for gap, pad in zip(gaps, pads)])
+            for backend in ("dense", "transfer"):
+                got = ss.source_correlation(src, a, b, gaps, backend)
+                assert np.max(np.abs(got - want), initial=0) <= 1e-12, (ma, mb, backend)
 
 
 def cache_sources() -> dict:
@@ -551,6 +657,19 @@ class TestDensityCache:
             src.density(4)
         assert src.density(3).dim == 8
 
+    def test_build_cap_counts_hidden_states(self, builds):
+        # rho_12 fits the cap, but its build keeps 64 hidden states' blocks of 2**22 entries
+        def mixture(n):
+            process = ss.MixtureProcess(np.full(n, 1 / n), tuple(ss.IIDProcess([0.5, 0.5]) for _ in range(n)))
+            return ss.construct_classically_correlated(process, ss.computational_alphabet(2))
+
+        wide = mixture(64)
+        for refused in (lambda: ss.check_consistency(wide, 12), lambda: wide.density(12)):
+            with pytest.raises(CapExceededError, match=r"kernel array of 64 x 2\*\*22 entries \(64 hidden states\)"):
+                refused()
+        assert builds == []
+        assert ss.sources._check_plan(mixture(2), 12, 1) == (12, 1)
+
     def test_misaligned_build_caches_nothing(self, builds):
         src = cache_sources()["blocked"]
         for _ in range(2):
@@ -595,17 +714,19 @@ class TestDensityCache:
                 assert pair.strong_mixing.statistics.tobytes() == other.strong_mixing.statistics.tobytes()
 
 
-def kron_correlation(source, a, b, gap) -> complex:
-    """The paper's tr(rho (a (x) 1^(x gap) (x) b)), with the padded operator built in full."""
-    rho = source.density(a.sites + gap + b.sites).entries
+def kron_correlation(source, a, b, gap, channel=None) -> complex:
+    """The paper's tr(rho (a (x) 1^(x gap) (x) b)), with the padded operator built in full;
+    with a channel, on the channel's image of source's state through the Kraus layer."""
+    rho = source.density(a.sites + gap + b.sites)
+    rho = (rho if channel is None else ss.apply_channel(channel, rho)).entries
     pad = np.eye(source.site_dim**gap, dtype=complex)
     return np.einsum("ij,ji->", rho, np.kron(np.kron(a.entries, pad), b.entries))
 
 
 def dense_reference_cases() -> dict:
     """name -> (source, [(a sites, b sites, gaps)]): the fleet, a source with complex
-    states, a site dim 3 source, and a chainless two-site block channel, whose states
-    exist on even site counts only."""
+    states, a site dim 3 source, and a two-site block channel, whose states exist on
+    even site counts only."""
     fleet = make_fleet()
     mixed = [(1, 1, range(6)), (1, 2, range(5)), (2, 1, range(5)), (2, 2, range(4))]
     cases = {name: (src, mixed) for name, src in fleet.items()}
@@ -648,13 +769,21 @@ class TestDenseContraction:
 
 def full_rho_correlation(source, a, b, gaps) -> np.ndarray:
     """The full-rho reference: for each gap build rho_{a+gap+b}, trace the gap sites out of it
-    and pair the two-block state with a and b."""
+    and pair the two-block state with a and b.  On a chain of k-site blocks, a is padded on the
+    right and b on the left to whole blocks first, and where the two then share a block, rho is
+    paired with a (x) I^gap (x) b."""
+    span = ss.sources._span(source)
+    pad_a, pad_b = -a.sites % span, -b.sites % span
+    whole_a, whole_b = ss.embed_observable(a, 0, pad_a), ss.embed_observable(b, pad_b, 0)
     out = np.empty(len(gaps), dtype=complex)
     for idx, gap in enumerate(gaps):
+        if gap < pad_a + pad_b:
+            out[idx] = kron_correlation(source, a, b, gap)
+            continue
         rho = source.density(a.sites + gap + b.sites).entries
-        g = source.site_dim**gap
-        pair = np.einsum("agbcgd->abcd", rho.reshape(a.dim, g, b.dim, a.dim, g, b.dim))
-        out[idx] = np.einsum("abcd,ca,db->", pair, a.entries, b.entries)
+        g = source.site_dim ** (gap - pad_a - pad_b)
+        pair = np.einsum("agbcgd->abcd", rho.reshape(whole_a.dim, g, whole_b.dim, whole_a.dim, g, whole_b.dim))
+        out[idx] = np.einsum("abcd,ca,db->", pair, whole_a.entries, whole_b.entries)
     return out
 
 
@@ -666,7 +795,7 @@ class TestChainPairs:
     """A chain source's dense correlations form only rho's gap-diagonal entries, by the same
     products and sums as rho does, so they are bitwise the full-rho route's."""
 
-    @pytest.mark.parametrize("name", sorted(n for n, (src, _) in DENSE_REFERENCE_CASES.items() if src.chain is not None))
+    @pytest.mark.parametrize("name", sorted(DENSE_REFERENCE_CASES))
     def test_bitwise_full_rho(self, name):
         source, shapes = DENSE_REFERENCE_CASES[name]
         d = source.site_dim
@@ -697,17 +826,20 @@ class TestChainPairs:
         assert builds == []
         assert bitwise_equal(got, full_rho_correlation(src, a, b, [3, 0, 3, 1]))
 
-    def test_chainless_source_builds_its_states(self, builds):
+    def test_block_chain_builds_only_the_shared_block_state(self, builds):
+        # one-site a and b at gap 0 share a two-site block, whose value is the block mean over rho_2
         src = cache_sources()["blocked"]
         a, b = ss.random_observable(1, seed=65), ss.random_observable(1, seed=66)
         got = ss.source_correlation(src, a, b, [4, 0, 2, 4], "dense")
-        assert [m for s, m in builds if s is src] == [6, 2, 4]
+        assert [m for s, m in builds if s is src] == [2]
         assert bitwise_equal(got, full_rho_correlation(src, a, b, [4, 0, 2, 4]))
+        old = [kron_correlation(src.base, a, b, gap, src.channel) for gap in [4, 0, 2, 4]]
+        assert np.max(np.abs(got - old)) <= 1e-14
 
 
 def kernel_sources() -> dict:
     """name -> (factory of a fresh source with nothing built, the site counts it has states for):
-    iid, a nested mixture, channel-transformed chains at site dim 2 and 3, and a chainless
+    iid, a nested mixture, channel-transformed chains at site dim 2 and 3, and a two-site
     block channel."""
     a_proc = ss.MarkovProcess(APERIODIC_T)
     nested = ss.MixtureProcess([0.5, 0.5], (ss.MixtureProcess([0.5, 0.5], (a_proc, ss.IIDProcess([0.2, 0.8]))), a_proc))
@@ -755,12 +887,13 @@ class TestIncrementalBuild:
     def test_ascending_builds_match_the_kron_loop(self, name):
         make, counts = KERNEL_SOURCES[name]
         src = make()
-        chained = src if src.chain is not None else src.base
+        span = ss.sources._span(src)
         for m in counts:
-            want = kron_loop_density(chained.chain, m)
-            if chained is not src:
-                want = ss.apply_channel(src.channel, ss.Operator(want, m, src.site_dim)).entries
-            assert src.density(m).entries.tobytes() == want.tobytes(), m
+            got = src.density(m).entries
+            assert got.tobytes() == kron_loop_density(src.chain, m // span).tobytes(), m
+            if span > 1:  # the channel on the base chain's state, through the Kraus layer
+                old = ss.apply_channel(src.channel, ss.Operator(kron_loop_density(src.base.chain, m), m, src.site_dim))
+                assert np.max(np.abs(got - old.entries)) <= 1e-14, m
 
     @pytest.mark.parametrize("order", sorted(BUILD_ORDERS))
     @pytest.mark.parametrize("name", sorted(KERNEL_SOURCES))
@@ -806,9 +939,11 @@ class TestIncrementalBuild:
         make = KERNEL_SOURCES["blocked"][0]
         src = make()
         src.density(4)
+        kept = src.__dict__["_blocks"]
+        assert kept[0] == 1 and kept[1].shape == (len(src.chain.initial), 4, 4)
         with pytest.raises(AlignmentError):
             src.density(3)
-        assert sorted(src.__dict__["_densities"]) == [4] and "_blocks" not in src.__dict__
+        assert sorted(src.__dict__["_densities"]) == [4] and src.__dict__["_blocks"] is kept
         assert src.density(6).entries.tobytes() == make().density(6).entries.tobytes()
 
 
@@ -825,7 +960,7 @@ class TestLibraryStates:
             with pytest.raises(ValueError):
                 rho[0, 0] = 1.0
 
-    @pytest.mark.parametrize("name", ["iid", "nested_mixture", "transformed", "d3"])
+    @pytest.mark.parametrize("name", ["iid", "nested_mixture", "transformed", "d3", "blocked"])
     def test_chain_densities_skip_the_checked_constructor(self, name, monkeypatch):
         make, counts = KERNEL_SOURCES[name]
         src = make()
