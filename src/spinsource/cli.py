@@ -9,8 +9,9 @@ any runs; one that would write the same files as an earlier one is a
 config error and does not run.  The configs run one after another, in
 this process; a long decay CSV is formatted in forked processes (see
 runner.emit_report).  Exit code: 0 when every selected check and test
-verdict of every config is pass, 1 when any is not, 2 on config errors and
-bad arguments, 3 when a resource cap was hit.
+verdict of every config is pass, 1 when any is not, 2 on config errors, bad
+arguments and reports that cannot be written (the configs after such a one
+still run), 3 when a resource cap was hit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 
 from .errors import CapExceededError, ConfigError
 from .runner import ExperimentConfig, emit_report, run_experiment
+from .sources import _BACKENDS
 
 EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
@@ -37,9 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output-dir", help="override every config's output directory")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--n-max", type=int, dest="n_max", help="override the shift horizon")
-    parser.add_argument(
-        "--backend", choices=["auto", "dense", "transfer"], help="override the backend"
-    )
+    parser.add_argument("--backend", choices=_BACKENDS, help="override the backend")
     parser.add_argument("-v", "--verbose", action="store_true", help="per-pair verdicts")
     return parser
 
@@ -58,7 +58,11 @@ def _run_one(config) -> tuple:
     except CapExceededError as exc:
         return _failure(exc)
     code = EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
-    return code, report, emit_report(report), None
+    try:
+        written = emit_report(report)
+    except OSError as exc:  # an output_dir naming a file, say
+        return EXIT_CONFIG_ERROR, None, [], f"cannot write reports: {exc}"
+    return code, report, written, None
 
 
 def _print_result(path: str, code: int, report, written, error, verbose: bool) -> None:

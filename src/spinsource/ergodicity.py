@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import AlignmentError, CapExceededError
 from .operators import Operator, _check_cap, random_observable, word_projector
-from .sources import _correlation_route, _span, source_block_mean, source_correlation
+from .sources import _correlation_route, _count, _span, source_block_mean, source_correlation
 
 DEFAULT_N_MAX = 2000
 # short dense horizons leave larger finite-size remainders, hence the looser dense default
@@ -43,18 +43,28 @@ _PROJECTOR_LIMIT = 8
 _SWEEP_ROW_CAP = 5 * 10**6
 
 
-def _shift_route(source, a_sites: int, b_sites: int, n_max: int, backend: str) -> str:
-    """_correlation_route over shifts a_sites..n_max, not all whole blocks of a k > 1-site chain."""
+def _pair_plan(source, a_sites: int, b_sites: int, n_max: int, backend: str, tol: float | None) -> tuple:
+    """(backend, tol) for a_sites- and b_sites-site pairs over shifts a_sites..n_max, with nothing
+    built: at least 4 shifts, all whole blocks of the source, the route's cap at the widest gap,
+    then tol's per-route default."""
+    shifts = _count(n_max, "n_max") - a_sites + 1
+    if shifts < 4:
+        raise ValueError(f"n_max={n_max} leaves {shifts} shifts for block_sites={a_sites}; the mixing tests need >= 4")
     if _span(source) > 1:
         raise AlignmentError(f"a sweep's shifts are not all whole blocks of the source's {_span(source)} sites")
-    return _correlation_route(source, a_sites, b_sites, n_max - a_sites, backend)
+    backend = _correlation_route(source, a_sites, b_sites, n_max - a_sites, backend)
+    return backend, _DEFAULT_TOL[backend] if tol is None else tol
 
 
 def _sweep_plan(source, block_sites: int, n_max: int, backend: str, tol: float | None, random_pair_count: int):
-    """sweep_report's (backend, tol), once each cap fits, in this order and with nothing built:
-    the observables' side, the route's cap at the widest gap and the rows, pairs x shifts."""
+    """sweep_report's (backend, tol), in this order and with nothing drawn: whole counts, the
+    observables' side, the pair plan (horizon, blocks, route) and the rows, pairs x shifts."""
+    if _count(block_sites, "block_sites") < 1:
+        raise ValueError(f"block_sites must be >= 1, got {block_sites}")
+    if _count(random_pair_count, "random_pair_count") < 0:
+        raise ValueError(f"random_pair_count must be >= 0, got {random_pair_count}")
     _check_cap(source.site_dim, block_sites)
-    backend = _shift_route(source, block_sites, block_sites, n_max, backend)
+    backend, tol = _pair_plan(source, block_sites, block_sites, n_max, backend, tol)
     pairs = min(source.site_dim**block_sites, _PROJECTOR_LIMIT) + random_pair_count
     shifts = n_max - block_sites + 1
     if pairs * shifts > _SWEEP_ROW_CAP:
@@ -62,7 +72,7 @@ def _sweep_plan(source, block_sites: int, n_max: int, backend: str, tol: float |
             f"sweep of {pairs} pairs x {shifts} shifts exceeds cap {_SWEEP_ROW_CAP} rows",
             cap=_SWEEP_ROW_CAP,
         )
-    return backend, _DEFAULT_TOL[backend] if tol is None else tol
+    return backend, tol
 
 
 def _verdict(devs: np.ndarray, tol: float) -> str:
@@ -76,8 +86,6 @@ def _verdict(devs: np.ndarray, tol: float) -> str:
     """
     devs = np.asarray(devs, dtype=float)
     n = devs.size
-    if n < 4:
-        raise ValueError(f"need at least 4 points for a verdict, got {n}")
     final = float(devs[-1])
     if final <= tol:
         w = max(4, n // 10)
@@ -205,13 +213,8 @@ def pair_report(
     b past a.  tol defaults to 1e-2 on the transfer route and 5e-2 on the
     dense route.
     """
-    backend = _shift_route(source, a.sites, b.sites, n_max, backend)
-    tol = _DEFAULT_TOL[backend] if tol is None else tol
+    backend, tol = _pair_plan(source, a.sites, b.sites, n_max, backend, tol)
     shifts = np.arange(a.sites, n_max + 1)
-    if shifts.size < 4:
-        raise ValueError(
-            f"horizon n_max={n_max} leaves {shifts.size} usable shifts, need >= 4"
-        )
     corr = source_correlation(source, a, b, shifts - a.sites, backend)
     target = complex(source_block_mean(source, a) * source_block_mean(source, b))
     counts = np.arange(1, shifts.size + 1)
@@ -314,8 +317,9 @@ def sweep_report(
     seed: int = 0,
 ) -> SourceSweepReport:
     """pair_report over projector pairs plus seeded random pairs, with the
-    same backend and tolerance defaults.  Every cap is checked before any
-    observable is drawn (_sweep_plan); custom pairs go through pair_report."""
+    same backend and tolerance defaults.  The horizon (at least 4 shifts)
+    and every cap are checked before any observable is drawn (_sweep_plan);
+    custom pairs go through pair_report."""
     backend, tol = _sweep_plan(source, block_sites, n_max, backend, tol, random_pair_count)
     pairs = projector_pairs(source.site_dim, block_sites)
     pairs += random_pairs(source.site_dim, block_sites, random_pair_count, seed)

@@ -44,7 +44,8 @@ in parentheses):
 Loading decodes the source and channel once and, before any work runs, makes
 the same cap checks a run makes (CapExceededError; the CLI exits 3) through
 the pre-flights library callers meet too: sources._check_plan (the checks'
-builds of rho, on every backend), then ergodicity._sweep_plan.
+builds of rho, on every backend), then ergodicity._sweep_plan, which also
+refuses a horizon of fewer than 4 shifts (a ConfigError at n_max).
 The channel's Kraus count (KRAUS_COUNT_CAP) is checked as it is decoded.
 
 emit_report formats a long decay CSV on every CPU the process may run on:
@@ -94,6 +95,7 @@ from .sources import (
     ChannelTransformedSource,
     ClassicallyCorrelatedSource,
     IIDSource,
+    _BACKENDS,
     _check_plan,
     check_consistency,
     check_stationarity,
@@ -337,8 +339,8 @@ class ExperimentConfig:
             return v
 
         backend = raw.get("backend", "auto")
-        if backend not in ("auto", "dense", "transfer"):
-            raise ConfigError("backend must be auto, dense, or transfer", "backend")
+        if backend not in _BACKENDS:
+            raise ConfigError(f"backend must be one of {', '.join(_BACKENDS)}", "backend")
         tolerance = raw.get("tolerance")
         if tolerance is not None:
             if not _is_real(tolerance) or not 0 < tolerance < 1:
@@ -352,13 +354,6 @@ class ExperimentConfig:
         n_max = _int("n_max", 2000, 8)
         observable_count = _int("observable_count", 2, 0)
         check_sites = _int("check_sites", 4, 2)
-        shifts = n_max - block_sites + 1
-        mixing = any(t in _MIXING for t in tests)
-        if shifts < 4 and mixing:
-            raise ConfigError(
-                f"n_max={n_max} leaves {shifts} shifts for "
-                f"block_sites={block_sites}; the mixing tests need >= 4", "n_max",
-            )
         config = cls(
             name=name,
             site_dim=site_dim,
@@ -380,8 +375,9 @@ class ExperimentConfig:
         source = build_source(config)[0]
         if any(t in _CHECKS for t in tests):
             _check_plan(source, *_check_sites(config))  # the checks are dense on every route
-        if mixing:
-            _sweep_plan(source, block_sites, n_max, backend, tolerance, observable_count)
+        if any(t in _MIXING for t in tests):
+            with _as_config_error("n_max"):  # the horizon; the plan's caps raise CapExceededError
+                _sweep_plan(source, block_sites, n_max, backend, tolerance, observable_count)
         return config
 
     @classmethod

@@ -46,6 +46,7 @@ from .operators import (
 )
 
 SOURCE_CHECK_TOL = 1e-9
+_BACKENDS = ("auto", "dense", "transfer")  # correlation routes; "auto" is transfer
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,7 +386,7 @@ def _correlation_route(source: QuantumSource, a_sites: int, b_sites: int, max_ga
     """The backend ("auto" is transfer) for a_sites- and b_sites-site observables at gaps up to
     max_gap, once its cap fits in whole blocks: the dense route's _chain_pairs arrays at the
     widest gap, or the transfer sweep's table of n**max(a, b) hidden words by n end states."""
-    if backend not in ("auto", "dense", "transfer"):
+    if backend not in _BACKENDS:
         raise BackendError(f"unknown backend {backend!r}")
     if not isinstance(source, QuantumSource):
         raise BackendError(f"correlations need a library source's chain, which a {type(source).__name__} lacks")

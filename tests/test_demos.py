@@ -1,13 +1,13 @@
 """Every demo script runs from a foreign directory, and the committed report pairs reproduce."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from spinsource.runner import CSV_HEADER, run_config_file
@@ -30,35 +30,22 @@ def test_demo_runs(script, tmp_path):
     assert not list(tmp_path.glob("spinsource-demo-*"))
 
 
+def _compare_reports():
+    """tools/compare_reports.py, the one statement of which report fields are exact."""
+    spec = importlib.util.spec_from_file_location("compare_reports", ROOT / "tools" / "compare_reports.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
 
 
-# the CSV numbers' tolerance; a failure's final_deviation is its pair's last abs_deviation cell
+# the measured numbers' tolerance: every CSV column, and every final_deviation, which for a
+# failure is its pair's last abs_deviation cell
 NUMBER_ATOL = 1e-12
-
-
-def _split_failures(failures):
-    """(failures without their float fields, those floats in list order)."""
-    exact = [{k: v for k, v in f.items() if not isinstance(v, float)} for f in failures]
-    floats = [v for f in failures for v in f.values() if isinstance(v, float)]
-    return exact, floats
-
-
-def _outcomes(payload):
-    """What must reproduce exactly: verdicts, pass/fail, failures without their
-    floats and the decay fits' point counts."""
-    sweep = payload["sweep"]
-    pairs = {
-        p["label"]: {
-            test: (entry["verdict"], (entry.get("decay") or {}).get("points_used"))
-            for test, entry in p["tests"].items()
-        }
-        for p in sweep["pairs"]
-    }
-    checks = {name: c["passed"] for name, c in payload["checks"].items()}
-    return payload["passed"], _split_failures(payload["failures"])[0], sweep["verdicts"], pairs, checks
 
 
 def _check_committed_pair(name, tmp_path):
@@ -71,20 +58,21 @@ def _check_committed_pair(name, tmp_path):
     assert old_csv.count(b"\n") == old_csv.count(b"\r\n") > 1
     old_rows, new_rows = _csv_rows(committed / csv_path.name), _csv_rows(csv_path)
     assert old_rows[0] == new_rows[0] == list(CSV_HEADER)
-    assert len(old_rows) == len(new_rows)
-    assert [r[:2] for r in old_rows] == [r[:2] for r in new_rows]
-    old_numbers = np.array([r[2:] for r in old_rows[1:]], dtype=float)
-    new_numbers = np.array([r[2:] for r in new_rows[1:]], dtype=float)
-    np.testing.assert_allclose(new_numbers, old_numbers, rtol=0, atol=NUMBER_ATOL)
-
     old_payload = json.loads((committed / json_path.name).read_text())
     new_payload = json.loads(json_path.read_text())
-    assert _outcomes(new_payload) == _outcomes(old_payload)
-    # another BLAS kernel moves a final_deviation by a few 1e-18, as it moves the CSV cell
-    old_floats = _split_failures(old_payload["failures"])[1]
-    new_floats = _split_failures(new_payload["failures"])[1]
-    assert len(new_floats) == len(old_floats)
-    np.testing.assert_allclose(new_floats, old_floats, rtol=0, atol=NUMBER_ATOL)
+
+    comparison = _compare_reports().Comparison()
+    comparison.csv_file(csv_path.name, old_rows, new_rows)
+    comparison.json_file(json_path.name, old_payload, new_payload)
+    assert comparison.mismatches == []
+    # the argmax the comparator lets move is exact in a check failure
+    assert [m for m in comparison.moved_argmax if m[1].startswith(".failures")] == []
+    assert set(comparison.by_column) == set(CSV_HEADER[2:])
+    assert max(comparison.by_column.values()) <= NUMBER_ATOL
+    # another BLAS kernel moves a final_deviation by a few 1e-18, as it moves the CSV cell;
+    # a failed check's float is its worst_deviation
+    assert comparison.by_key["final_deviation"] <= NUMBER_ATOL
+    assert comparison.by_key["worst_deviation"] <= NUMBER_ATOL
     assert new_payload["config"] == old_payload["config"]
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import spinsource as ss
-from spinsource.ergodicity import _verdict
+from spinsource.errors import AlignmentError
+from spinsource.ergodicity import _pair_plan, _verdict
 
-from conftest import APERIODIC_T, FLEET_TRIPLES, NONORTHO
+from conftest import APERIODIC_T, FLEET_TRIPLES, NONORTHO, tensor_power
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +31,68 @@ class TestVerdictHeuristic:
         devs = 0.5 / np.sqrt(np.arange(1, 201))
         assert _verdict(devs, 1e-3) == "inconclusive"
 
-    def test_short_sequences_rejected(self):
-        with pytest.raises(ValueError):
-            _verdict(np.array([0.1, 0.05, 0.01]), 1e-2)
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """Every observable the sweep draws and every correlation it computes, by function name."""
+    calls = []
+    for name in ("random_observable", "word_projector", "source_correlation"):
+        monkeypatch.setattr(ss.ergodicity, name, lambda *args, name=name: calls.append(name))
+    return calls
+
+
+class TestPairPlan:
+    """_pair_plan decides a pair's horizon, blocks, route and tolerance, in that order,
+    before anything is built; the sweep's plan adds its counts and caps around it."""
+
+    def test_fewer_than_four_shifts_refused(self, fleet, indicator):
+        # every sequence _verdict judges therefore has at least 4 points
+        with pytest.raises(ValueError, match=r"^n_max=3 leaves 3 shifts for block_sites=1; the mixing tests need >= 4$"):
+            _pair_plan(fleet["iid"], 1, 1, 3, "auto", None)
+        assert _pair_plan(fleet["iid"], 1, 1, 4, "auto", None) == ("transfer", 1e-2)
+        assert _pair_plan(fleet["iid"], 1, 1, 4, "dense", 0.3) == ("dense", 0.3)
+        shortest = ss.pair_report(fleet["iid"], indicator, indicator, n_max=4)
+        assert [r.shifts.size for r in shortest.reports] == [4, 4, 4]
+        assert shortest.verdicts == ("pass", "pass", "pass")
+
+    def test_short_sweep_draws_nothing(self, fleet, drawn):
+        with pytest.raises(ValueError, match=r"^n_max=8 leaves 3 shifts for block_sites=6; the mixing tests need >= 4$"):
+            ss.sweep_report(fleet["iid"], block_sites=6, n_max=8)
+        assert drawn == []
+
+    def test_horizon_comes_before_blocks_and_route(self, fleet, monkeypatch):
+        blocked = ss.channel_transform_source(fleet["iid"], tensor_power(ss.amplitude_damping_channel(0.4), 2))
+        a = ss.random_observable(2, seed=98)
+        with pytest.raises(ValueError, match="n_max=4 leaves 3 shifts") as short:
+            ss.pair_report(blocked, a, a, 4, "dense")
+        assert type(short.value) is ValueError  # a longer horizon gets AlignmentError
+        with pytest.raises(AlignmentError):
+            ss.pair_report(blocked, a, a, 5, "dense")
+        monkeypatch.setenv(ss.operators.DENSE_CAP_ENV, "2")
+        with pytest.raises(ValueError, match="n_max=4 leaves 3 shifts"):
+            ss.pair_report(fleet["aperiodic"], a, a, 4, "dense")
+        with pytest.raises(ss.CapExceededError):
+            ss.pair_report(fleet["aperiodic"], a, a, 5, "dense")
+
+    @pytest.mark.parametrize("kwargs, error, match", [
+        ({"block_sites": True}, TypeError, "block_sites must be an integer, not a boolean"),
+        ({"block_sites": 1.0}, TypeError, "integer"),
+        ({"block_sites": 0}, ValueError, "block_sites must be >= 1, got 0"),
+        ({"random_pair_count": True}, TypeError, "random_pair_count must be an integer, not a boolean"),
+        ({"random_pair_count": 1.0}, TypeError, "integer"),
+        ({"random_pair_count": -1}, ValueError, "random_pair_count must be >= 0, got -1"),
+        ({"n_max": True}, TypeError, "n_max must be an integer, not a boolean"),
+        ({"n_max": 20.0}, TypeError, "integer"),
+    ], ids=["block_bool", "block_float", "block_zero", "count_bool", "count_float", "count_negative",
+            "n_max_bool", "n_max_float"])
+    def test_bad_counts_refused_before_any_draw(self, fleet, drawn, kwargs, error, match):
+        with pytest.raises(error, match=match):
+            ss.sweep_report(fleet["iid"], **{"n_max": 20, **kwargs})
+        assert drawn == []
+
+    def test_numpy_counts_run(self, fleet):
+        sweep = ss.sweep_report(fleet["iid"], np.int64(1), np.int64(20), random_pair_count=np.int64(1))
+        assert [p.label for p in sweep.pairs] == ["proj_0", "proj_1", "rand_0"]
 
 
 class TestFrozenSequences:

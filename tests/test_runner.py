@@ -879,6 +879,20 @@ class TestCLI:
         assert code == 2
         assert "n_max" in err and "block_sites=6" in err and "Traceback" not in err
 
+    def test_unwritable_output_dir_is_reported_and_the_next_config_runs(self, tmp_path, capsys):
+        blocked = tmp_path / "in_the_way"
+        blocked.write_text("a file, not a directory")
+        first = self.write_config(tmp_path / "a", name="cli_blocked", output_dir=str(blocked))
+        second = self.write_config(tmp_path / "b", name="cli_after", output_dir=str(tmp_path / "out"))
+        code = cli.main([str(first), str(second)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{first}: cannot write reports: " in captured.err and "Traceback" not in captured.err
+        assert blocked.read_text() == "a file, not a directory"
+        assert f"{second}: pass" in captured.out
+        assert (tmp_path / "out" / "cli_after.report.json").exists()
+        assert (tmp_path / "out" / "cli_after.decay.csv").exists()
+
     def test_threaded_emit_byte_identical(self, tmp_path, monkeypatch, fork_calls):
         p1 = self.write_config(tmp_path, name="par_a")
         p2 = self.write_config(
