@@ -10,8 +10,9 @@ config error and does not run.  The configs run one after another, in
 this process; a long decay CSV is formatted in forked processes (see
 runner.emit_report).  Exit code: 0 when every selected check and test
 verdict of every config is pass, 1 when any is not, 2 on config errors, bad
-arguments and reports that cannot be written (the configs after such a one
-still run), 3 when a resource cap was hit.
+arguments and an output directory or report file that cannot be made (the
+configs after such a one still run), 3 when a resource cap was hit.  Any
+other failure while writing, a CSV worker's say, ends in a traceback.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def _run_one(config) -> tuple:
     code = EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
     try:
         written = emit_report(report)
-    except OSError as exc:  # an output_dir naming a file, say
+    except (FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        # the output directory or a report file cannot be made: an output_dir naming a file, say
         return EXIT_CONFIG_ERROR, None, [], f"cannot write reports: {exc}"
     return code, report, written, None
 

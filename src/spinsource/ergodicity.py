@@ -44,16 +44,16 @@ _SWEEP_ROW_CAP = 5 * 10**6
 
 
 def _pair_plan(source, a_sites: int, b_sites: int, n_max: int, backend: str, tol: float | None) -> tuple:
-    """(backend, tol) for a_sites- and b_sites-site pairs over shifts a_sites..n_max, with nothing
-    built: at least 4 shifts, all whole blocks of the source, the route's cap at the widest gap,
-    then tol's per-route default."""
+    """(backend, tol, shift count) for a_sites- and b_sites-site pairs over shifts a_sites..n_max,
+    with nothing built: at least 4 shifts, all whole blocks of the source, the route's cap at the
+    widest gap, then tol's per-route default."""
     shifts = _count(n_max, "n_max") - a_sites + 1
     if shifts < 4:
         raise ValueError(f"n_max={n_max} leaves {shifts} shifts for block_sites={a_sites}; the mixing tests need >= 4")
     if _span(source) > 1:
         raise AlignmentError(f"a sweep's shifts are not all whole blocks of the source's {_span(source)} sites")
     backend = _correlation_route(source, a_sites, b_sites, n_max - a_sites, backend)
-    return backend, _DEFAULT_TOL[backend] if tol is None else tol
+    return backend, _DEFAULT_TOL[backend] if tol is None else tol, shifts
 
 
 def _sweep_plan(source, block_sites: int, n_max: int, backend: str, tol: float | None, random_pair_count: int):
@@ -64,9 +64,8 @@ def _sweep_plan(source, block_sites: int, n_max: int, backend: str, tol: float |
     if _count(random_pair_count, "random_pair_count") < 0:
         raise ValueError(f"random_pair_count must be >= 0, got {random_pair_count}")
     _check_cap(source.site_dim, block_sites)
-    backend, tol = _pair_plan(source, block_sites, block_sites, n_max, backend, tol)
+    backend, tol, shifts = _pair_plan(source, block_sites, block_sites, n_max, backend, tol)
     pairs = min(source.site_dim**block_sites, _PROJECTOR_LIMIT) + random_pair_count
-    shifts = n_max - block_sites + 1
     if pairs * shifts > _SWEEP_ROW_CAP:
         raise CapExceededError(
             f"sweep of {pairs} pairs x {shifts} shifts exceeds cap {_SWEEP_ROW_CAP} rows",
@@ -213,8 +212,8 @@ def pair_report(
     b past a.  tol defaults to 1e-2 on the transfer route and 5e-2 on the
     dense route.
     """
-    backend, tol = _pair_plan(source, a.sites, b.sites, n_max, backend, tol)
-    shifts = np.arange(a.sites, n_max + 1)
+    backend, tol, count = _pair_plan(source, a.sites, b.sites, n_max, backend, tol)
+    shifts = a.sites + np.arange(count)
     corr = source_correlation(source, a, b, shifts - a.sites, backend)
     target = complex(source_block_mean(source, a) * source_block_mean(source, b))
     counts = np.arange(1, shifts.size + 1)

@@ -49,8 +49,8 @@ class TestPairPlan:
         # every sequence _verdict judges therefore has at least 4 points
         with pytest.raises(ValueError, match=r"^n_max=3 leaves 3 shifts for block_sites=1; the mixing tests need >= 4$"):
             _pair_plan(fleet["iid"], 1, 1, 3, "auto", None)
-        assert _pair_plan(fleet["iid"], 1, 1, 4, "auto", None) == ("transfer", 1e-2)
-        assert _pair_plan(fleet["iid"], 1, 1, 4, "dense", 0.3) == ("dense", 0.3)
+        assert _pair_plan(fleet["iid"], 1, 1, 4, "auto", None) == ("transfer", 1e-2, 4)
+        assert _pair_plan(fleet["iid"], 2, 1, 9, "dense", 0.3) == ("dense", 0.3, 8)
         shortest = ss.pair_report(fleet["iid"], indicator, indicator, n_max=4)
         assert [r.shifts.size for r in shortest.reports] == [4, 4, 4]
         assert shortest.verdicts == ("pass", "pass", "pass")

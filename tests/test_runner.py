@@ -893,6 +893,16 @@ class TestCLI:
         assert (tmp_path / "out" / "cli_after.report.json").exists()
         assert (tmp_path / "out" / "cli_after.decay.csv").exists()
 
+    def test_failed_csv_worker_is_not_reported_as_unwritable(self, tmp_path, monkeypatch):
+        # only a directory or file that cannot be made is a config error; a worker's failure raises
+        def failed_worker(report):
+            raise OSError("decay CSV worker 1 exited with status 1")
+
+        monkeypatch.setattr(cli, "emit_report", failed_worker)
+        path = self.write_config(tmp_path, name="cli_worker")
+        with pytest.raises(OSError, match="decay CSV worker 1 exited"):
+            cli.main([str(path)])
+
     def test_threaded_emit_byte_identical(self, tmp_path, monkeypatch, fork_calls):
         p1 = self.write_config(tmp_path, name="par_a")
         p2 = self.write_config(

@@ -1,6 +1,9 @@
 """The report comparison script: exact fields must match, floats are measured."""
 
+import csv
+import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -65,6 +68,22 @@ def test_exact_fields_must_match(tmp_path, path, value):
     result = _compare(_write(tmp_path / "a", REPORT), _write(tmp_path / "b", changed))
     assert result.returncode == 1
     assert "exact-field mismatches: 1" in result.stdout
+
+
+@pytest.mark.parametrize("nan_side", ["a", "b", "both"])
+def test_a_nan_on_one_side_is_an_infinite_difference(tmp_path, nan_side):
+    reports, csvs = {}, {}
+    for side in ("a", "b"):
+        nan = nan_side in (side, "both")
+        report = json.loads(json.dumps(REPORT))
+        report["failures"][0]["final_deviation"] = float("nan") if nan else 0.5
+        reports[side], csvs[side] = report, CSV.replace("0.25", "nan") if nan else CSV
+    comparison = _load_tool("compare_reports").Comparison()
+    comparison.json_file("run.report.json", reports["a"], reports["b"])
+    comparison.csv_file("run.decay.csv", *(list(csv.reader(io.StringIO(csvs[s]))) for s in "ab"))
+    expected = 0.0 if nan_side == "both" else math.inf
+    assert comparison.by_key["final_deviation"] == comparison.by_column["corr_real"] == expected
+    assert comparison.mismatches == []
 
 
 def test_missing_file_and_csv_rows_mismatch(tmp_path):

@@ -10,7 +10,8 @@ Exact: the report structure, every string and boolean (verdicts,
 integer except the ``worst_pair`` argmax of a check, and in each CSV the
 header, the row count and the pair and shift columns.
 
-Measured: every other number.  The script prints the largest absolute
+Measured: every other number; a NaN on one side only counts as an
+infinite difference.  The script prints the largest absolute
 difference per file, for the JSON floats and the CSV floats separately,
 then the largest difference per JSON key and per CSV column over all
 files, and every ``worst_pair`` that moved.  Exit code 0 when every
@@ -39,8 +40,8 @@ def _files(root: Path) -> set:
 
 
 def _diff(x: float, y: float) -> float:
-    if math.isnan(x) and math.isnan(y):
-        return 0.0
+    if math.isnan(x) or math.isnan(y):  # a value that becomes NaN, or stops being one, is infinitely far
+        return 0.0 if math.isnan(x) and math.isnan(y) else math.inf
     if x == y:  # equal infinities included
         return 0.0
     return abs(x - y)
