@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .channels import _is_real
 from .errors import AlignmentError, CapExceededError
 from .operators import Operator, _check_cap, random_observable, word_projector
 from .sources import _correlation_route, _count, _span, source_block_mean, source_correlation
@@ -45,8 +46,12 @@ _SWEEP_ROW_CAP = 5 * 10**6
 
 def _pair_plan(source, a_sites: int, b_sites: int, n_max: int, backend: str, tol: float | None) -> tuple:
     """(backend, tol, shift count) for a_sites- and b_sites-site pairs over shifts a_sites..n_max,
-    with nothing built: at least 4 shifts, all whole blocks of the source, the route's cap at the
-    widest gap, then tol's per-route default."""
+    with nothing built: tol a real number in (0, 1) or None, at least 4 shifts, all whole blocks
+    of the source, the route's cap at the widest gap, then tol's per-route default."""
+    if tol is not None and not _is_real(tol):
+        raise TypeError(f"tol must be a real number, not {type(tol).__name__}")
+    if tol is not None and not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     shifts = _count(n_max, "n_max") - a_sites + 1
     if shifts < 4:
         raise ValueError(f"n_max={n_max} leaves {shifts} shifts for block_sites={a_sites}; the mixing tests need >= 4")
@@ -56,13 +61,15 @@ def _pair_plan(source, a_sites: int, b_sites: int, n_max: int, backend: str, tol
     return backend, _DEFAULT_TOL[backend] if tol is None else tol, shifts
 
 
-def _sweep_plan(source, block_sites: int, n_max: int, backend: str, tol: float | None, random_pair_count: int):
+def _sweep_plan(source, block_sites: int, n_max: int, backend: str, tol: float | None, random_pair_count: int,
+                seed: int):
     """sweep_report's (backend, tol), in this order and with nothing drawn: whole counts, the
-    observables' side, the pair plan (horizon, blocks, route) and the rows, pairs x shifts."""
+    observables' side, the pair plan (tol, horizon, blocks, route) and the rows, pairs x shifts."""
     if _count(block_sites, "block_sites") < 1:
         raise ValueError(f"block_sites must be >= 1, got {block_sites}")
-    if _count(random_pair_count, "random_pair_count") < 0:
-        raise ValueError(f"random_pair_count must be >= 0, got {random_pair_count}")
+    for count, what in ((random_pair_count, "random_pair_count"), (seed, "seed")):
+        if _count(count, what) < 0:
+            raise ValueError(f"{what} must be >= 0, got {count}")
     _check_cap(source.site_dim, block_sites)
     backend, tol, shifts = _pair_plan(source, block_sites, block_sites, n_max, backend, tol)
     pairs = min(source.site_dim**block_sites, _PROJECTOR_LIMIT) + random_pair_count
@@ -316,10 +323,11 @@ def sweep_report(
     seed: int = 0,
 ) -> SourceSweepReport:
     """pair_report over projector pairs plus seeded random pairs, with the
-    same backend and tolerance defaults.  The horizon (at least 4 shifts)
-    and every cap are checked before any observable is drawn (_sweep_plan);
-    custom pairs go through pair_report."""
-    backend, tol = _sweep_plan(source, block_sites, n_max, backend, tol, random_pair_count)
+    same backend and tolerance defaults.  The counts and the seed, tol (a
+    number in (0, 1)), the horizon (at least 4 shifts) and every cap are
+    checked before any observable is drawn (_sweep_plan); custom pairs go
+    through pair_report."""
+    backend, tol = _sweep_plan(source, block_sites, n_max, backend, tol, random_pair_count, seed)
     pairs = projector_pairs(source.site_dim, block_sites)
     pairs += random_pairs(source.site_dim, block_sites, random_pair_count, seed)
     pair_reports = [

@@ -377,7 +377,7 @@ class ExperimentConfig:
             _check_plan(source, *_check_sites(config))  # the checks are dense on every route
         if any(t in _MIXING for t in tests):
             with _as_config_error("n_max"):  # the horizon; the plan's caps raise CapExceededError
-                _sweep_plan(source, block_sites, n_max, backend, tolerance, observable_count)
+                _sweep_plan(source, block_sites, n_max, backend, tolerance, observable_count, seed)
         return config
 
     @classmethod

@@ -18,8 +18,11 @@ states, Fannes, Nachtergaele and Werner 1992), so transforms compose.
 A source keeps each rho_m it builds, read-only and without a copy (a convex
 sum of products of validated states is a finite state), at most D^2/(D^2-1)
 times the largest one, D = d^k; the n blocks one block short of the last
-(n/D^2 times its memory), so the next site count costs one chain step; and
-its hidden MarkovProcess, from the first transfer correlation on.
+(n/D^2 times its memory), so the next site count costs one chain step; the
+dense correlations' two-block states, read-only, per (a, b) block counts and
+gap, D^(2a+2b) entries each, so further observable pairs of those sizes step
+the chain for new gaps only; and its hidden MarkovProcess, from the first
+transfer correlation on.
 
 Correlations corr(gap) = tr(rho (a (x) I^gap (x) b)) run densely, forming
 only rho_{a+gap+b}'s entries diagonal on the gap, bitwise as rho has them,
@@ -414,7 +417,9 @@ def source_correlation(
     """corr(gap) = tr(rho_{ma+gap+mb} (a (x) I^(x gap) (x) b)) for each gap.
 
     backend "dense" traces the gap out of rho_{ma+gap+mb}, forming only the entries the
-    trace reads, bitwise as rho has them.  "transfer" (and "auto") takes the hidden chain's
+    trace reads, bitwise as rho has them; the source keeps the two-block states this
+    leaves, which belong to the block sizes, not to a or b, so a later pair of the same
+    sizes reuses them.  "transfer" (and "auto") takes the hidden chain's
     classical correlation of f[h_1..h_ma] = tr((S_h1 (x) .. (x) S_hma) a) and likewise g
     for b.  On k-site blocks, k must divide ma + gap + mb, a is padded on the right and b
     on the left to whole blocks, and where a's last block is b's first, the block mean.
@@ -439,13 +444,29 @@ def source_correlation(
 
 
 def _chain_correlation(source, a: Operator, b: Operator, gaps: np.ndarray, backend: str) -> np.ndarray:
-    """source_correlation for a and b on whole blocks of source's chain and gaps in blocks."""
+    """source_correlation for a and b on whole blocks of source's chain and gaps in blocks.
+    The dense route pairs a and b with the two-block states the source keeps for their
+    block counts, stepping the chain once for the gaps it does not keep yet."""
     if backend == "dense":
         gaps = gaps.tolist()
-        pairs = _chain_pairs(source.chain, a.sites, b.sites, gaps)
+        pairs = _kept_pairs(source, a.sites, b.sites, gaps)
         return np.array([np.einsum("abcd,ca,db->", pairs[gap], a.entries, b.entries) for gap in gaps], dtype=complex)
     f, g = (_state_table(source.chain.states, x) for x in (a, b))
     return classical_correlation_sweep(_hidden_process(source), f, g, gaps)
+
+
+def _kept_pairs(source, a_blocks: int, b_blocks: int, gaps: list) -> dict:
+    """gap -> the read-only two-block state of _chain_pairs for a_blocks and b_blocks, kept
+    with the source; one _chain_pairs call makes the missing gaps, and one that raises adds
+    no state."""
+    kept = source.__dict__.setdefault("_pairs", {}).setdefault((a_blocks, b_blocks), {})
+    missing = set(gaps).difference(kept)
+    if missing:
+        made = _chain_pairs(source.chain, a_blocks, b_blocks, missing)
+        for state in made.values():
+            state.setflags(write=False)
+        kept.update(made)
+    return kept
 
 
 def _hidden_process(source) -> MarkovProcess:

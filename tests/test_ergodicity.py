@@ -83,16 +83,37 @@ class TestPairPlan:
         ({"random_pair_count": -1}, ValueError, "random_pair_count must be >= 0, got -1"),
         ({"n_max": True}, TypeError, "n_max must be an integer, not a boolean"),
         ({"n_max": 20.0}, TypeError, "integer"),
+        ({"tol": -1.0}, ValueError, r"tol must be in \(0, 1\), got -1.0"),
+        ({"tol": float("nan")}, ValueError, r"tol must be in \(0, 1\), got nan"),
+        ({"tol": 1.0}, ValueError, r"tol must be in \(0, 1\), got 1.0"),
+        ({"tol": True}, TypeError, "tol must be a real number, not bool"),
+        ({"tol": "0.1"}, TypeError, "tol must be a real number, not str"),
+        ({"seed": True}, TypeError, "seed must be an integer, not a boolean"),
+        ({"seed": 1.5}, TypeError, "integer"),
+        ({"seed": -1}, ValueError, "seed must be >= 0, got -1"),
     ], ids=["block_bool", "block_float", "block_zero", "count_bool", "count_float", "count_negative",
-            "n_max_bool", "n_max_float"])
+            "n_max_bool", "n_max_float", "tol_negative", "tol_nan", "tol_one", "tol_bool", "tol_str",
+            "seed_bool", "seed_float", "seed_negative"])
     def test_bad_counts_refused_before_any_draw(self, fleet, drawn, kwargs, error, match):
         with pytest.raises(error, match=match):
             ss.sweep_report(fleet["iid"], **{"n_max": 20, **kwargs})
         assert drawn == []
 
+    def test_pair_report_refuses_a_bad_tol_before_any_correlation(self, fleet, indicator, drawn):
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
+                ss.pair_report(fleet["iid"], indicator, indicator, n_max=20, tol=tol)
+        assert drawn == []
+
     def test_numpy_counts_run(self, fleet):
-        sweep = ss.sweep_report(fleet["iid"], np.int64(1), np.int64(20), random_pair_count=np.int64(1))
+        sweep = ss.sweep_report(
+            fleet["iid"], np.int64(1), np.int64(20), tol=np.float64(0.2), random_pair_count=np.int64(1),
+            seed=np.int64(3),
+        )
         assert [p.label for p in sweep.pairs] == ["proj_0", "proj_1", "rand_0"]
+        assert sweep.tol == 0.2
+        seeded = ss.sweep_report(fleet["iid"], 1, 20, random_pair_count=1, seed=3)
+        assert sweep.pairs[2].strong_mixing.statistics.tobytes() == seeded.pairs[2].strong_mixing.statistics.tobytes()
 
 
 class TestFrozenSequences:

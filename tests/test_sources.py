@@ -624,6 +624,21 @@ def builds(monkeypatch):
     return built
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The sorted gaps of every _chain_pairs call, the dense correlations' chain kernel."""
+    from spinsource import sources
+
+    calls, kernel = [], sources._chain_pairs
+
+    def counting(chain, a_sites, b_sites, gaps):
+        calls.append(sorted(gaps))
+        return kernel(chain, a_sites, b_sites, gaps)
+
+    monkeypatch.setattr(sources, "_chain_pairs", counting)
+    return calls
+
+
 class TestDensityCache:
     """A library source builds each rho_m once and keeps it for its lifetime."""
 
@@ -694,6 +709,38 @@ class TestDensityCache:
         second = ss.source_correlation(warm, a, b, gaps, "dense")
         fresh = ss.source_correlation(cache_sources()[name], a, b, gaps, "dense")
         assert first.tobytes() == fresh.tobytes() and second.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("name", ["iid", "correlated", "transformed"])
+    def test_dense_sweep_steps_the_kernel_once(self, kernel_calls, name):
+        # the two-block states belong to the source and the block sizes, not to the pair
+        src = cache_sources()[name]
+        sweeps = [ss.sweep_report(src, n_max=8, backend="dense", random_pair_count=2, seed=5) for _ in range(2)]
+        assert len(sweeps[0].pairs) == 4 and kernel_calls == [list(range(8))]
+        assert not any(state.flags.writeable for state in src.__dict__["_pairs"][1, 1].values())
+        fresh = ss.sweep_report(cache_sources()[name], n_max=8, backend="dense", random_pair_count=2, seed=5)
+        for sweep in sweeps:
+            for pair, other in zip(sweep.pairs, fresh.pairs):
+                for report, expected in zip(pair.reports, other.reports):
+                    assert report.statistics.tobytes() == expected.statistics.tobytes()
+
+    def test_dense_pairs_step_only_the_missing_gaps(self, kernel_calls):
+        src, a = cache_sources()["correlated"], ss.random_observable(1, seed=63)
+        wide = ss.source_correlation(src, a, a, [0, 1, 2, 5], "dense")
+        later = ss.source_correlation(src, a, a, [2, 4, 5, 0], "dense")
+        assert kernel_calls == [[0, 1, 2, 5], [4]]
+        assert sorted(src.__dict__["_pairs"][1, 1]) == [0, 1, 2, 4, 5]
+        fresh = ss.source_correlation(cache_sources()["correlated"], a, a, [2, 4, 5, 0], "dense")
+        assert later.tobytes() == fresh.tobytes() and later[[0, 2, 3]].tobytes() == wide[[2, 3, 0]].tobytes()
+
+    def test_lowered_cap_still_refuses_kept_pairs(self, monkeypatch, kernel_calls):
+        src, a = cache_sources()["correlated"], ss.random_observable(2, seed=64)
+        first = ss.source_correlation(src, a, a, range(4), "dense")
+        monkeypatch.setenv(ss.operators.DENSE_CAP_ENV, "8")
+        with pytest.raises(CapExceededError):
+            ss.source_correlation(src, a, a, range(4), "dense")
+        monkeypatch.delenv(ss.operators.DENSE_CAP_ENV)
+        assert ss.source_correlation(src, a, a, range(4), "dense").tobytes() == first.tobytes()
+        assert kernel_calls == [[0, 1, 2, 3]]
 
     @pytest.mark.parametrize("name", ["iid", "correlated", "transformed"])
     def test_sweep_builds_the_hidden_process_once(self, monkeypatch, name):
