@@ -1,4 +1,4 @@
-"""The report comparison script: exact fields must match, floats are measured."""
+"""The scripts under tools/: report comparison, the benchmark harness, report regeneration."""
 
 import csv
 import io
@@ -124,7 +124,7 @@ PARENT_WALL = [0.23, 0.22, 0.24, 0.23, 0.25, 0.22, 0.23, 0.24, 0.23, 0.22]
 
 
 def test_claim_holds_for_a_clear_gain():
-    verdict = _load_tool("bench_pairs").judge_pairs(PARENT_WALL, [p / 2 for p in PARENT_WALL], "lower")
+    verdict = _load_tool("bench_record").judge_pairs(PARENT_WALL, [p / 2 for p in PARENT_WALL], "lower")
     assert verdict["wins"] == 10 and verdict["claim_holds"]
     assert verdict["parent"] == pytest.approx((0.2225, 0.23, 0.2375))
     assert verdict["parent_iqr"] == pytest.approx(0.015)
@@ -140,12 +140,12 @@ def test_claim_holds_for_a_clear_gain():
     ],
 )
 def test_claim_rule_edges(change, why):
-    verdict = _load_tool("bench_pairs").judge_pairs(PARENT_WALL[: len(change)], change, "lower")
+    verdict = _load_tool("bench_record").judge_pairs(PARENT_WALL[: len(change)], change, "lower")
     assert verdict["claim_holds"] == (why == "wins")
 
 
 def test_higher_is_better_and_ties_are_no_win():
-    bench = _load_tool("bench_pairs")
+    bench = _load_tool("bench_record")
     verdict = bench.judge_pairs([1.0] * 10, [2.0] * 9 + [1.0], "higher")
     assert verdict["wins"] == 9 and verdict["claim_holds"]
     assert not bench.judge_pairs([1.0] * 10, [2.0] * 10, "lower")["claim_holds"]
@@ -165,38 +165,56 @@ def test_higher_is_better_and_ties_are_no_win():
     ],
 )
 def test_regression_check_against_the_bound(change, better, bound, status):
-    check = _load_tool("bench_pairs").judge_bound(PARENT_WALL, change, better, bound)
+    check = _load_tool("bench_record").judge_bound(PARENT_WALL, change, better, bound)
     assert check["status"] == status
     worse = (statistics.median(change) - 0.23) / 0.23 * (1 if better == "lower" else -1)
     assert check["worse"] == pytest.approx(worse)
 
 
+def _trees(tmp_path, benchmark: dict, run_py: str = "") -> dict:
+    """A parent and a change tree, each with a BENCHMARK.json and a perfbench/run.py."""
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for root in trees.values():
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(run_py)
+        (root / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    return trees
+
+
+WALL_S = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+
+
+def _record_args(trees: dict, *more: str) -> list:
+    return ["--tag", "new", "--root", str(trees["change"]), "--parent-root", str(trees["parent"]), *more]
+
+
 def test_pairs_print_the_speed_factor_and_unscaled_medians(tmp_path, monkeypatch, capsys):
-    """bench_pairs reads each run's results file for its speed factor and unscaled seconds."""
-    bench = _load_tool("bench_pairs")
+    """bench_record reads each run's results file for its speed factor and unscaled seconds."""
+    bench = _load_tool("bench_record")
     benchmark = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [
         {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
         {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
     ]}
     factors = {"parent": [0.5, 0.7, 0.6], "change": [0.8, 0.9, 1.0]}
-    for side in factors:
-        (tmp_path / side / "perfbench").mkdir(parents=True)
-        (tmp_path / side / "perfbench" / "run.py").write_text("")
-        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    trees = _trees(tmp_path, benchmark)
 
-    def fabricated_run(command, cwd, **kwargs):
-        seed, side = int(command[command.index("--seed") + 1]), Path(cwd).name
+    def fabricated_run(command, cwd=None, **kwargs):
+        if command[0] == "git":
+            return subprocess.CompletedProcess(command, 128, stdout="")
+        seed, trace, side = int(command[command.index("--seed") + 1]), command[-1], Path(cwd).name
         factor, unscaled = factors[side][seed], {"wall_s": 2.0 + seed, "peak_rss_mb": 50.0}
         metrics = {"wall_s": unscaled["wall_s"] * factor, "peak_rss_mb": 50.0}
-        out = Path(cwd) / ".perfbench" / f"w-seed{seed}-trace0.json"
+        out = Path(cwd) / ".perfbench" / f"w-seed{seed}-trace{trace}.json"
         out.parent.mkdir(exist_ok=True)
         out.write_text(json.dumps({"digests": {"w": "same"}, "speed": {"factor": factor},
-                                   "unscaled_metrics": unscaled, "metrics": metrics}))
+                                   "unscaled_metrics": unscaled, "metrics": metrics, "environment": {},
+                                   "digest_changes": [], "layer_self_s": {}}))
         line = {"failed": 0, "attempted": 1, "metrics": {k: {"value": v} for k, v in metrics.items()}}
         return subprocess.CompletedProcess(command, 0, stdout=json.dumps(line) + "\n")
 
     monkeypatch.setattr(bench.subprocess, "run", fabricated_run)
-    args = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workload", "w"]
+    monkeypatch.setattr(bench, "HERE", tmp_path / "tools")
+    args = _record_args(trees)
     assert bench.main(args + ["--seeds", "0", "1", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "seeds whose report digests differ: none" in out
@@ -207,40 +225,143 @@ def test_pairs_print_the_speed_factor_and_unscaled_medians(tmp_path, monkeypatch
     ]
 
 
-def test_record_alternates_parent_and_change(tmp_path, monkeypatch):
-    """bench_record runs the parent first on even seeds and the change first on odd ones,
-    and writes one BENCH file per tree."""
-    record = _load_tool("bench_record")
-    benchmark = {"run_seconds": 1, "workloads": [{"name": "w"}, {"name": "v"}]}
-    trees = {side: tmp_path / side for side in ("parent", "change")}
-    for root in trees.values():
-        (root / "perfbench").mkdir(parents=True)
-        (root / "perfbench" / "run.py").write_text("")
-        (root / "BENCHMARK.json").write_text(json.dumps(benchmark))
-    calls = []
+def _fabricated_run_one(calls: list, factor: dict, unscaled_gain: float = 1.0):
+    """A run_one whose runs read 1 + seed/1000 unscaled seconds, times ``unscaled_gain`` on
+    the change, scaled by the side's ``factor``; seed 1's reports differ between the trees."""
 
-    def fabricated_run(root, workload, seed, trace, seconds):
+    def run_one(root, workload, seed, trace, seconds):
         calls.append((root.name, workload, seed, trace))
-        wall = 1.0 if root.name == "parent" else 2.0
-        run = {"seed": seed, "trace": trace, "failed": 0, "attempted": 1, "metrics": {"wall_s": wall + seed}}
-        return run, {"tree": root.name}
+        side = root.name
+        unscaled = (1.0 + seed / 1000) * (unscaled_gain if side == "change" else 1.0)
+        return {"seed": seed, "trace": trace, "failed": 0, "attempted": 1,
+                "digests_sha256": "other" if seed == 1 and side == "change" else "same",
+                "metrics": {"wall_s": unscaled * factor[side], "peak_rss_mb": 50.0},
+                "unscaled_metrics": {"wall_s": unscaled, "peak_rss_mb": 50.0},
+                "speed_factor": factor[side]}, {"tree": side}
 
-    monkeypatch.setattr(record, "run_one", fabricated_run)
+    return run_one
+
+
+def test_record_alternates_parent_and_change(tmp_path, monkeypatch):
+    """bench_record runs the parent first in even pairs and the change first in odd ones,
+    traces only the first two seeds, and writes one BENCH file per tree, the judgement in
+    the change's."""
+    record = _load_tool("bench_record")
+    benchmark = {"run_seconds": 1, "workloads": [{"name": "w"}, {"name": "v"}], "end_to_end": [WALL_S]}
+    trees = _trees(tmp_path, benchmark)
+    calls = []
+    monkeypatch.setattr(record, "run_one", _fabricated_run_one(calls, {"parent": 1.0, "change": 2.0}))
     monkeypatch.setattr(record, "HERE", tmp_path / "tools")
-    args = ["--tag", "new", "--root", str(trees["change"]), "--parent-root", str(trees["parent"]), "--seeds", "0", "1"]
-    assert record.main(args) == 0
+    assert record.main(_record_args(trees, "--seeds", "0", "1", "2")) == 0
     expected = []
     for workload in ("w", "v"):
-        for seed, order in ((0, ("parent", "change")), (1, ("change", "parent"))):
-            expected += [(side, workload, seed, trace) for trace in (0, 1) for side in order]
+        for seed, order in ((0, ("parent", "change")), (1, ("change", "parent")), (2, ("parent", "change"))):
+            traces = (0, 1) if seed < 2 else (0,)
+            expected += [(side, workload, seed, trace) for trace in traces for side in order]
     assert calls == expected
-    for tag, side, wall in (("new_parent", "parent", 1.0), ("new", "change", 2.0)):
+    for tag, side, factor in (("new_parent", "parent", 1.0), ("new", "change", 2.0)):
         written = json.loads((tmp_path / f"BENCH_{tag}.json").read_text())
         assert written["tag"] == tag and written["environment"] == {"tree": side}
+        assert ("judgement" in written) == (side == "change")
         for workload in ("w", "v"):
             runs = written["workloads"][workload]["runs"]
-            assert [(r["seed"], r["trace"]) for r in runs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-            assert written["workloads"][workload]["end_to_end"] == {"wall_s": wall + 0.5}
+            assert [(r["seed"], r["trace"]) for r in runs] == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
+            assert written["workloads"][workload]["end_to_end"]["wall_s"] == pytest.approx(1.001 * factor)
+            assert written["workloads"][workload]["per_layer"]["wall_s"] == pytest.approx(1.0005 * factor)
+    judgement = json.loads((tmp_path / "BENCH_new.json").read_text())["judgement"]
+    assert set(judgement) == {"w", "v"}
+    for workload in judgement.values():
+        assert workload["seeds"] == [0, 1, 2] and workload["digests_differ"] == [1]
+        assert workload["failed"] == {"parent": 0, "change": 0}
+        wall = workload["metrics"]["wall_s"]
+        assert (wall["wins"], wall["pairs"], wall["claim"], wall["status"]) == (0, 3, "no", "regressed")
+        assert wall["worse"] == pytest.approx(1.0)
+        assert workload["unscaled_medians"] == {"parent": {"speed.factor": 1.0, "wall_s": pytest.approx(1.001)},
+                                                "change": {"speed.factor": 2.0, "wall_s": pytest.approx(1.001)}}
+
+
+def test_record_without_a_parent_has_no_judgement(tmp_path, monkeypatch, capsys):
+    record = _load_tool("bench_record")
+    trees = _trees(tmp_path, {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [WALL_S]})
+    calls = []
+    monkeypatch.setattr(record, "run_one", _fabricated_run_one(calls, {"change": 1.0}))
+    monkeypatch.setattr(record, "HERE", tmp_path / "tools")
+    assert record.main(["--tag", "solo", "--root", str(trees["change"]), "--seeds", "0", "1", "2"]) == 0
+    assert calls == [("change", "w", 0, 0), ("change", "w", 0, 1), ("change", "w", 1, 0), ("change", "w", 1, 1),
+                     ("change", "w", 2, 0)]
+    assert capsys.readouterr().out.splitlines() == [str(tmp_path / "BENCH_solo.json")]
+    assert "judgement" not in json.loads((tmp_path / "BENCH_solo.json").read_text())
+    assert not (tmp_path / "BENCH_solo_parent.json").exists()
+
+
+@pytest.mark.parametrize("unscaled_gain, claim", [(1.0, "holds (scaled only)"), (0.8, "holds")])
+def test_a_claim_on_the_speed_factor_alone_reads_scaled_only(tmp_path, monkeypatch, capsys, unscaled_gain, claim):
+    """The change's speed factor is 0.8 against the parent's 1.0. With unchanged unscaled
+    seconds the scaled claim holds on the factor alone; with a true 20 % gain it holds on both."""
+    record = _load_tool("bench_record")
+    end_to_end = [WALL_S, {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
+    trees = _trees(tmp_path, {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": end_to_end})
+    monkeypatch.setattr(record, "run_one", _fabricated_run_one([], {"parent": 1.0, "change": 0.8}, unscaled_gain))
+    monkeypatch.setattr(record, "HERE", tmp_path / "tools")
+    assert record.main(_record_args(trees)) == 0
+    out = capsys.readouterr().out.splitlines()
+    wall = json.loads((tmp_path / "BENCH_new.json").read_text())["judgement"]["w"]["metrics"]["wall_s"]
+    assert (wall["wins"], wall["claim_holds"], wall["claim"]) == (10, True, claim)
+    assert wall["unscaled"]["wins"] == (10 if unscaled_gain < 1 else 0)
+    assert any(line.startswith("wall_s\tlower\t") and f"\t10/10\t{claim}\twithin" in line for line in out)
+    assert any(line.startswith("peak_rss_mb\tlower\t") and "\t0/10\tno\twithin" in line for line in out)
+
+
+STUB_RUN = """
+import json, sys
+from pathlib import Path
+
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+root = Path(__file__).resolve().parents[1]
+if not (root / "wall").is_file():
+    print(f"stub: no wall file under {root}", file=sys.stderr)
+    sys.exit(3)
+wall = float((root / "wall").read_text()) + int(args["--seed"]) / 100
+tag = f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}"
+results = {"environment": {"stub": True}, "digests": {"r.json": "d"}, "digest_changes": [],
+           "unscaled_metrics": {"wall_s": wall}, "speed": {"factor": 1.0}, "layer_self_s": {}}
+(root / ".perfbench").mkdir(exist_ok=True)
+(root / ".perfbench" / f"{tag}.json").write_text(json.dumps(results))
+print(json.dumps({"failed": 0, "attempted": 1, "metrics": {"wall_s": {"value": wall}}}))
+"""
+
+
+def test_a_failed_run_says_why_and_writes_no_record(tmp_path, monkeypatch, capsys):
+    record = _load_tool("bench_record")
+    trees = _trees(tmp_path, {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [WALL_S]}, STUB_RUN)
+    (trees["parent"] / "wall").write_text("1.0")
+    monkeypatch.setattr(record, "HERE", tmp_path / "tools")
+    with pytest.raises(SystemExit) as exc:
+        record.main(_record_args(trees))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: {trees['change']}: workload w seed 0 trace 0 exited 3" in err
+    assert f"stub: no wall file under {trees['change']}" in err
+    assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_record_smoke_on_real_subprocesses(tmp_path, monkeypatch, capsys):
+    """The default ten seeds on two stub trees, each run a real perfbench/run.py process."""
+    record = _load_tool("bench_record")
+    trees = _trees(tmp_path, {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [WALL_S]}, STUB_RUN)
+    (trees["parent"] / "wall").write_text("2.0")
+    (trees["change"] / "wall").write_text("1.0")
+    monkeypatch.setattr(record, "HERE", tmp_path / "tools")
+    assert record.main(_record_args(trees)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [str(tmp_path / "BENCH_new_parent.json"), str(tmp_path / "BENCH_new.json")]
+    assert "seeds whose report digests differ: none" in out
+    written = json.loads((tmp_path / "BENCH_new.json").read_text())
+    assert written["seeds"] == list(range(10)) and written["environment"] == {"stub": True}
+    assert [r["trace"] for r in written["workloads"]["w"]["runs"]].count(1) == 2
+    wall = written["judgement"]["w"]["metrics"]["wall_s"]
+    assert (wall["wins"], wall["claim"], wall["status"]) == (10, "holds", "within")
+    assert written["workloads"]["w"]["end_to_end"]["wall_s"] == pytest.approx(1.045)
 
 
 STUB_WORKLOADS = '''
