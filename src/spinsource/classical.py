@@ -1,12 +1,13 @@
 """Finite-alphabet classical processes: iid, Markov, and mixtures.
 
 A process here is a shift-invariant (or deliberately not) measure on
-one-sided symbol sequences.  Every process carries one hidden-chain form
-(initial, transition, emission), built at construction: a hidden state
-starts from ``initial``, steps with the row-stochastic ``transition``, and
-emits each symbol from its row of ``emission``.  An iid process is one
-hidden state, a Markov process emits its own state, and a mixture joins
-its components' chains block-diagonally.  Word probabilities, correlation
+one-sided symbol sequences.  Every process carries its hidden chain as a
+MarkovProcess, ``hidden``, beside an (n, k) ``emission`` array, both built
+at construction: a hidden state starts from ``hidden.initial``, steps with
+the row-stochastic ``hidden.transition``, and emits each symbol from its
+row of ``emission``.  A Markov process is its own hidden chain and emits
+its state, an iid process has one hidden state, and a mixture joins its
+components' chains block-diagonally.  Word probabilities, correlation
 sweeps and the analytic ergodicity classifier are written once against
 that form.  A process's consistency and stationarity are checked on its
 diagonal lift, construct_classically_correlated(process,
@@ -21,7 +22,6 @@ needs an aperiodic class).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,44 +59,33 @@ def _probability_vector(p, what: str) -> np.ndarray:
     return arr
 
 
-class HiddenChain(NamedTuple):
-    """initial (n,), transition (n, n) and emission (n, k) of a symbol process.
-
-    Pr(w_1 .. w_m) = initial D(w_1) T D(w_2) ... T D(w_m) 1 with
-    D(x) = diag(emission[:, x]).
-    """
-
-    initial: np.ndarray
-    transition: np.ndarray
-    emission: np.ndarray
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
-def _hidden_chain(initial, transition, emission) -> HiddenChain:
-    """The chain over the given arrays, not copies: a process's own read-only
-    fields are shared, and the arrays made for the chain are frozen too."""
-    arrays = [np.asarray(a, dtype=float) for a in (initial, transition, emission)]
-    for arr in arrays:
-        arr.setflags(write=False)
-    return HiddenChain(*arrays)
+class _SymbolProcess:
+    """Pr(w_1 .. w_m) = initial D(w_1) T D(w_2) ... T D(w_m) 1 with T = hidden.transition,
+    initial = hidden.initial and D(x) = diag(emission[:, x])."""
 
-
-class _HiddenChainProcess:
     @property
     def alphabet_size(self) -> int:
-        return self.chain.emission.shape[1]
+        return self.emission.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
-class IIDProcess(_HiddenChainProcess):
+class IIDProcess(_SymbolProcess):
     """Independent identically distributed symbols with marginal ``probs``."""
 
     probs: np.ndarray
-    chain: HiddenChain = field(init=False, repr=False)
+    hidden: MarkovProcess = field(init=False, repr=False)
+    emission: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         probs = _probability_vector(self.probs, "iid marginal")
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "chain", _hidden_chain([1.0], [[1.0]], probs[None, :]))
+        object.__setattr__(self, "hidden", _ONE_STATE)
+        object.__setattr__(self, "emission", probs[None, :])  # a view of the read-only probs
 
     @property
     def kind(self) -> str:
@@ -104,7 +93,7 @@ class IIDProcess(_HiddenChainProcess):
 
 
 @dataclass(frozen=True, eq=False)
-class MarkovProcess(_HiddenChainProcess):
+class MarkovProcess(_SymbolProcess):
     """Stationary-by-default Markov chain with row-stochastic ``transition``.
 
     ``initial`` defaults to a stationary distribution of the chain, which
@@ -114,7 +103,7 @@ class MarkovProcess(_HiddenChainProcess):
 
     transition: np.ndarray
     initial: np.ndarray | None = None
-    chain: HiddenChain = field(init=False, repr=False)
+    emission: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.array(self.transition, dtype=float)
@@ -139,7 +128,11 @@ class MarkovProcess(_HiddenChainProcess):
             )
         if self.initial.size != p.shape[0]:
             raise ShapeMismatchError("initial distribution size does not match transition")
-        object.__setattr__(self, "chain", _hidden_chain(self.initial, p, np.eye(p.shape[0])))
+        object.__setattr__(self, "emission", _read_only(np.eye(p.shape[0])))
+
+    @property
+    def hidden(self) -> MarkovProcess:
+        return self  # a Markov process is its own hidden chain, emitting its state
 
     @property
     def kind(self) -> str:
@@ -150,16 +143,17 @@ class MarkovProcess(_HiddenChainProcess):
 
 
 @dataclass(frozen=True, eq=False)
-class MixtureProcess(_HiddenChainProcess):
+class MixtureProcess(_SymbolProcess):
     """Convex combination of processes; components may themselves be mixtures.
 
     The hidden chain is the block-diagonal join of the components' chains
-    with initial vector w_j initial_j.
+    with initial vector w_j initial_j, checked as any MarkovProcess is.
     """
 
     weights: np.ndarray
     components: tuple
-    chain: HiddenChain = field(init=False, repr=False)
+    hidden: MarkovProcess = field(init=False, repr=False)
+    emission: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -168,31 +162,27 @@ class MixtureProcess(_HiddenChainProcess):
         comps = tuple(self.components)
         if len(comps) != self.weights.size:
             raise ShapeMismatchError("one weight per component required")
-        chains = [getattr(c, "chain", None) for c in comps]
-        if any(ch is None for ch in chains):
+        if not all(isinstance(c, _SymbolProcess) for c in comps):
             raise TypeError("mixture components must be classical processes")
-        sizes = sorted({ch.emission.shape[1] for ch in chains})
+        sizes = sorted({c.alphabet_size for c in comps})
         if len(sizes) != 1:
             raise ShapeMismatchError(f"components disagree on alphabet size: {sizes}")
         object.__setattr__(self, "components", comps)
-        n = sum(ch.initial.size for ch in chains)
-        transition = np.zeros((n, n))
-        start = 0
-        for ch in chains:
-            stop = start + ch.initial.size
+        chains = [c.hidden for c in comps]
+        ends = np.cumsum([0] + [ch.initial.size for ch in chains])
+        transition = np.zeros((ends[-1], ends[-1]))
+        for ch, start, stop in zip(chains, ends, ends[1:]):
             transition[start:stop, start:stop] = ch.transition
-            start = stop
-        object.__setattr__(self, "chain", _hidden_chain(
-            np.concatenate([w * ch.initial for w, ch in zip(self.weights, chains)]),
-            transition,
-            np.vstack([ch.emission for ch in chains]),
-        ))
+        initial = np.concatenate([w * ch.initial for w, ch in zip(self.weights, chains)])
+        object.__setattr__(self, "hidden", MarkovProcess(transition, initial))
+        object.__setattr__(self, "emission", _read_only(np.vstack([c.emission for c in comps])))
 
     @property
     def kind(self) -> str:
         return "mixture"
 
 
+_ONE_STATE = MarkovProcess([[1.0]], [1.0])  # the hidden chain of every iid process
 ClassicalProcess = IIDProcess | MarkovProcess | MixtureProcess
 
 
@@ -227,11 +217,11 @@ def stationary_distribution(transition) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _hidden_table(chain: HiddenChain, length: int) -> np.ndarray:
+def _hidden_table(hidden: MarkovProcess, emission: np.ndarray, length: int) -> np.ndarray:
     """Pr(w_1 .. w_length, h_length = h) as a (k,)*length + (n,) array."""
-    table = (chain.initial[:, None] * chain.emission).T
+    table = (hidden.initial[:, None] * emission).T
     for _ in range(length - 1):
-        table = (table @ chain.transition)[..., None, :] * chain.emission.T
+        table = (table @ hidden.transition)[..., None, :] * emission.T
     return table
 
 
@@ -239,8 +229,8 @@ def marginal_table(process: ClassicalProcess, length: int) -> np.ndarray:
     """All word probabilities of a given length as a (k,)*length array."""
     if length < 1:
         raise ValueError(f"word length must be >= 1, got {length}")
-    _check_word_cap(process.alphabet_size, length, process.chain.initial.size)
-    return _hidden_table(process.chain, length).sum(axis=-1)
+    _check_word_cap(process.alphabet_size, length, process.hidden.initial.size)
+    return _hidden_table(process.hidden, process.emission, length).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +282,10 @@ def classical_correlation_sweep(process: ClassicalProcess, f_table, g_table, gap
     k = process.alphabet_size
     f = _as_block_table(f_table, k, "first block function")
     g = _as_block_table(g_table, k, "second block function")
-    chain = process.chain
-    p, e = chain.transition.astype(complex), chain.emission
+    hidden, e = process.hidden, process.emission
+    p = hidden.transition.astype(complex)
     n = p.shape[0]
-    u = (_hidden_table(chain, f.ndim) * f[..., None]).reshape(-1, n).sum(axis=0)
+    u = (_hidden_table(hidden, e, f.ndim) * f[..., None]).reshape(-1, n).sum(axis=0)
     h = np.einsum("...z,hz->...h", g, e)
     for _ in range(g.ndim - 1):
         h = np.einsum("...zh,hz->...h", h @ p.T, e)
@@ -377,11 +367,10 @@ def _period(adj: np.ndarray) -> int:
     return int(np.gcd.reduce(level[u] + 1 - level[v]))
 
 
-def _class_tables(chain: HiddenChain, cls: np.ndarray, max_len: int = 3) -> list:
+def _class_tables(process: ClassicalProcess, cls: np.ndarray, max_len: int = 3) -> list:
     """Word tables up to max_len of one closed class run from its stationary law."""
-    p = chain.transition[np.ix_(cls, cls)]
-    sub = HiddenChain(stationary_distribution(p)[0], p, chain.emission[cls])
-    return [_hidden_table(sub, ell).sum(axis=-1) for ell in range(1, max_len + 1)]
+    sub = MarkovProcess(process.hidden.transition[np.ix_(cls, cls)])
+    return [_hidden_table(sub, process.emission[cls], ell).sum(axis=-1) for ell in range(1, max_len + 1)]
 
 
 def classify_process(process: ClassicalProcess) -> ClassificationReport:
@@ -397,11 +386,10 @@ def classify_process(process: ClassicalProcess) -> ClassificationReport:
     ``unique_stationary`` that every closed class of the hidden chain,
     reached or not, carries the same statistics.
     """
-    chain = process.chain
-    p = chain.transition
-    stationary = bool(np.max(np.abs(chain.initial @ p - chain.initial)) <= CONSISTENCY_TOL)
+    hidden = process.hidden
+    p = hidden.transition
     classes, reach = _closed_classes(p)
-    tables = [_class_tables(chain, c) for c in classes] if len(classes) > 1 else []
+    tables = [_class_tables(process, c) for c in classes] if len(classes) > 1 else []
 
     def same(indices) -> bool:
         return all(
@@ -410,12 +398,12 @@ def classify_process(process: ClassicalProcess) -> ClassificationReport:
             for t, t0 in zip(tables[i], tables[indices[0]])
         )
 
-    start = chain.initial > 1e-12
+    start = hidden.initial > 1e-12
     live = [j for j, c in enumerate(classes) if reach[np.ix_(start, c)].any()]
     ergodic = same(live)
     period = min(_period(p[np.ix_(classes[j], classes[j])] > _EDGE_TOL) for j in live) if ergodic else 0
     mixing = ergodic and period == 1
     return ClassificationReport(
-        process.kind, stationary, ergodic, period, same(list(range(len(classes)))),
+        process.kind, hidden.is_stationary(), ergodic, period, same(list(range(len(classes)))),
         ergodic, mixing, mixing,
     )

@@ -31,7 +31,7 @@ import numpy as np
 from .channels import _is_real
 from .errors import AlignmentError, CapExceededError
 from .operators import Operator, _check_cap, random_observable, word_projector
-from .sources import _correlation_route, _count, _span, source_block_mean, source_correlation
+from .sources import _correlation_route, _count, source_block_mean, source_correlation
 
 DEFAULT_N_MAX = 2000
 # short dense horizons leave larger finite-size remainders, hence the looser dense default
@@ -55,8 +55,8 @@ def _pair_plan(source, a_sites: int, b_sites: int, n_max: int, backend: str, tol
     shifts = _count(n_max, "n_max") - a_sites + 1
     if shifts < 4:
         raise ValueError(f"n_max={n_max} leaves {shifts} shifts for block_sites={a_sites}; the mixing tests need >= 4")
-    if _span(source) > 1:
-        raise AlignmentError(f"a sweep's shifts are not all whole blocks of the source's {_span(source)} sites")
+    if getattr(source, "span", 1) > 1:  # a source outside the library has no span
+        raise AlignmentError(f"a sweep's shifts are not all whole blocks of the source's {source.span} sites")
     backend = _correlation_route(source, a_sites, b_sites, n_max - a_sites, backend)
     return backend, _DEFAULT_TOL[backend] if tol is None else tol, shifts
 

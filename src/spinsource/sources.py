@@ -5,24 +5,25 @@ that tracing out trailing sites recovers the shorter states
 (consistency) and, for stationary sources, tracing out leading sites
 does too.  Each rho_m is a plain Operator, a state by construction.
 
-Every library source is one emission chain (initial, transition, states):
-a hidden Markov chain that emits the state S_h of a block of k sites from
-state h, so rho_m = sum_h initial(h_1) P[h_1, h_2] .. S_h1 (x) .. (x) S_hj
-over j = m/k blocks.  iid sigma is one hidden state with S_0 = sigma; a
-classically correlated source has its process's hidden chain with
+Every library source is a hidden Markov chain, the MarkovProcess ``hidden``,
+that emits the state S_h of a block of k = ``span`` sites from state h, so
+rho_m = sum_h initial(h_1) P[h_1, h_2] .. S_h1 (x) .. (x) S_hj over j = m/k
+blocks.  iid sigma is one hidden state with S_0 = sigma; a classically
+correlated source shares its process's hidden chain, with
 S_h = sum_x emission[h, x] |psi_x><psi_x|; a channel E on c sites emits
-E(S_h) from the base chain, first regrouped over runs of blocks when c is
-no multiple of the base's k (the blocking property of finitely correlated
-states, Fannes, Nachtergaele and Werner 1992), so transforms compose.
+E(S_h) from the base's chain, shared, or regrouped over runs of blocks
+when c is no multiple of the base's k (the blocking property of finitely
+correlated states, Fannes, Nachtergaele and Werner 1992), so transforms
+compose.  E never touches the chain, so the chain and the span exist before
+the read-only (n, D, D) ``states``, which are built on first use.
 
 A source keeps each rho_m it builds, read-only and without a copy (a convex
 sum of products of validated states is a finite state), at most D^2/(D^2-1)
 times the largest one, D = d^k; the n blocks one block short of the last
-(n/D^2 times its memory), so the next site count costs one chain step; the
-dense correlations' two-block states, read-only, per (a, b) block counts and
-gap, D^(2a+2b) entries each, so further observable pairs of those sizes step
-the chain for new gaps only; and its hidden MarkovProcess, from the first
-transfer correlation on.
+(n/D^2 times its memory), so the next site count costs one chain step; and
+the dense correlations' two-block states, read-only, per (a, b) block counts
+and gap, D^(2a+2b) entries each, so further observable pairs of those sizes
+step the chain for new gaps only.
 
 Correlations corr(gap) = tr(rho (a (x) I^gap (x) b)) run densely, forming
 only rho_{a+gap+b}'s entries diagonal on the gap, bitwise as rho has them,
@@ -32,16 +33,17 @@ sweep carries a's and b's tables over hidden words across any gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from operator import index
-from typing import NamedTuple
 
 import numpy as np
 
 from .channels import KrausChannel, _block_sites, _require_trace_preserving, apply_channel, validate_alphabet
-from .classical import ClassicalProcess, MarkovProcess, _check_word_cap, _gap_array, classical_correlation_sweep
+from .classical import (
+    _ONE_STATE, ClassicalProcess, MarkovProcess, _check_word_cap, _gap_array, classical_correlation_sweep,
+)
 from .errors import AlignmentError, BackendError, CapExceededError, ShapeMismatchError
 from .operators import (
     DENSE_CAP_ENV, DensityOperator, Operator, _check_cap, _owned_operator, dense_cap, density_operator,
@@ -83,36 +85,34 @@ def computational_alphabet(size: int, site_dim: int | None = None) -> AlphabetSp
     return AlphabetSpec(np.eye(size, d, dtype=complex))
 
 
-class EmissionChain(NamedTuple):
-    """initial (n,), transition (n, n) and block states (n, D, D), all read-only."""
-
-    initial: np.ndarray
-    transition: np.ndarray
-    states: np.ndarray
-
-
-def _emission_chain(hidden, states) -> EmissionChain:
-    """The hidden part (initial, transition) of ``hidden`` emitting ``states``."""
+def _frozen(states) -> np.ndarray:
+    """Block states stacked as a read-only (n, D, D) complex array."""
     states = np.array(states, dtype=complex)
     states.setflags(write=False)
-    return EmissionChain(hidden.initial, hidden.transition, states)
+    return states
 
 
-def _regroup(chain: EmissionChain, runs: int) -> EmissionChain:
-    """chain over runs of ``runs`` blocks: hidden states (h, l), a run's first and last, with
-    w = P^(runs-1)[h, l] > 0; initial pi_h w(h, l), transition P[l, h'] w(h', l') and states
-    sum_paths prod P S_h1 (x) .. (x) S_hruns / w(h, l), capped before the n^2 path sums exist."""
-    p, s = chain.transition, chain.states
-    n, dim = s.shape[:2]
-    _check_chain_cap(dim**runs, n * n, 2)
-    paths = np.eye(n)[:, :, None, None] * s[None]  # runs of one block: l = h
-    for _ in range(runs - 1):
-        mixed, side = np.einsum("hgab,gl->hlab", paths, p), paths.shape[2] * dim
-        paths = (mixed[:, :, :, None, :, None] * s[None, :, None, :, None, :]).reshape(n, n, side, side)
-    w = np.linalg.matrix_power(p, runs - 1)
+def _run_ends(transition: np.ndarray, block_dim: int, runs: int) -> tuple:
+    """(h, l, w) of a chain regrouped over runs of ``runs`` blocks, whose hidden states are each
+    run's first and last, h and l, with w = P^(runs-1)[h, l] > 0: initial pi_h w(h, l) and
+    transition P[l, h'] w(h', l').  The cap on up to n^2 such states' blocks comes first."""
+    n = transition.shape[0]
+    _check_chain_cap(block_dim**runs, n * n, 2)
+    w = np.linalg.matrix_power(transition, runs - 1)
     h, l = np.nonzero(w > 0)
-    hidden = MarkovProcess(p[l[:, None], h] * w[h, l], chain.initial[h] * w[h, l])  # checked and frozen
-    return _emission_chain(hidden, paths[h, l] / w[h, l][:, None, None])
+    return h, l, w[h, l]
+
+
+def _regroup_states(transition: np.ndarray, states: np.ndarray, runs: int) -> np.ndarray:
+    """The states the regrouped chain emits from (h, l): sum_paths prod P S_h1 (x) .. (x) S_hruns
+    / w(h, l), capped before the n^2 path sums exist."""
+    n, dim = states.shape[:2]
+    h, l, w = _run_ends(transition, dim, runs)
+    paths = np.eye(n)[:, :, None, None] * states[None]  # runs of one block: l = h
+    for _ in range(runs - 1):
+        mixed, side = np.einsum("hgab,gl->hlab", paths, transition), paths.shape[2] * dim
+        paths = (mixed[:, :, :, None, :, None] * states[None, :, None, :, None, :]).reshape(n, n, side, side)
+    return paths[h, l] / w[:, None, None]
 
 
 def _emit(states: np.ndarray, mixed: np.ndarray, out=None) -> np.ndarray:
@@ -131,31 +131,31 @@ def _mix(transition: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return total
 
 
-def _step(chain: EmissionChain, mixed: np.ndarray | None) -> np.ndarray:
+def _step(hidden: MarkovProcess, states: np.ndarray, mixed: np.ndarray | None) -> np.ndarray:
     """M_{j+1} from M_j, stacked (n, R, C): M_j(h) = sum_g P[h, g] T_j(g) is the j-block
     state that follows hidden state h, and T_{j+1}(h) = S_h (x) M_j(h) what h emits over
     j + 1 blocks; None stands for M_0, with T_1 = S.  R = C for a whole M_j; the dense
     correlations also step blocks that keep only some of M_j's rows."""
     if mixed is None:
-        return _mix(chain.transition, chain.states)
-    (n, rows, cols), d = mixed.shape, chain.states.shape[1]
-    return _mix(chain.transition, _emit(chain.states, mixed).reshape(n, d * rows, d * cols))
+        return _mix(hidden.transition, states)
+    (n, rows, cols), d = mixed.shape, states.shape[1]
+    return _mix(hidden.transition, _emit(states, mixed).reshape(n, d * rows, d * cols))
 
 
-def _chain_density(chain: EmissionChain, mixed: np.ndarray | None) -> np.ndarray:
+def _chain_density(hidden: MarkovProcess, states: np.ndarray, mixed: np.ndarray | None) -> np.ndarray:
     """rho_m = sum_h initial(h) T_m(h) from M_{m-1}, elementwise from 0 in h order.  Each
     T_m(h) is formed in turn in one buffer, so no stack of blocks of rho's side exists."""
     if mixed is None:
-        return sum(q * s for q, s in zip(chain.initial, chain.states))
+        return sum(q * s for q, s in zip(hidden.initial, states))
     rho = t = None
-    for q, s, m in zip(chain.initial, chain.states, mixed):
+    for q, s, m in zip(hidden.initial, states, mixed):
         t = np.multiply(q, _emit(s[None], m[None], t), out=t)
         rho = 0 + t if rho is None else np.add(rho, t, out=rho)
-    d = chain.states.shape[1]
+    d = states.shape[1]
     return rho.reshape(d * mixed.shape[1], d * mixed.shape[2])
 
 
-def _chain_pairs(chain: EmissionChain, a_sites: int, b_sites: int, gaps) -> dict:
+def _chain_pairs(hidden: MarkovProcess, states: np.ndarray, a_sites: int, b_sites: int, gaps) -> dict:
     """gap -> the two-block state sum_z rho[(x, z, y), (x', z, y')] of rho_{a+gap+b}, as
     (da, db, da, db), for each distinct gap, stepped from the chain without rho.
 
@@ -165,21 +165,21 @@ def _chain_pairs(chain: EmissionChain, a_sites: int, b_sites: int, gaps) -> dict
     the right: M_b by whole steps; then one step per gap block, which keeps a gap
     block's diagonal S_h[z, z] only, so the kept blocks are (n, d^gap * db, db); then,
     for each requested gap, the a-block's whole steps and rho's level on those."""
-    d = chain.states.shape[1]
-    diagonals = np.diagonal(chain.states, axis1=1, axis2=2)[:, :, None, None]
+    d = states.shape[1]
+    diagonals = np.diagonal(states, axis1=1, axis2=2)[:, :, None, None]
     kept = None
     for _ in range(b_sites):
-        kept = _step(chain, kept)
+        kept = _step(hidden, states, kept)
     n, db = kept.shape[:2]
     da, wanted, pairs = d**a_sites, set(gaps), {}
     for gap in range(max(wanted, default=-1) + 1):
         if gap:  # S_h[z, z] M(h) for each z, as S_h (x) M(h) forms it, rows (z, earlier rows)
-            kept = _mix(chain.transition, np.multiply(diagonals, kept[:, None]).reshape(n, -1, db))
+            kept = _mix(hidden.transition, np.multiply(diagonals, kept[:, None]).reshape(n, -1, db))
         if gap in wanted:
             mixed = kept
             for _ in range(a_sites - 1):
-                mixed = _step(chain, mixed)
-            rho = _chain_density(chain, mixed).reshape(da, d**gap, db, da, db)
+                mixed = _step(hidden, states, mixed)
+            rho = _chain_density(hidden, states, mixed).reshape(da, d**gap, db, da, db)
             pairs[gap] = np.einsum("agbcd->abcd", rho)
     return pairs
 
@@ -200,9 +200,9 @@ def _whole_blocks(span: int, sites: int) -> int:
 
 
 def _check_build_cap(source, sites: int) -> None:
-    """rho_m over j blocks (rounded up) and the kept M_{j-1}, n blocks of D**(2j-2) entries, fit."""
-    span = _span(source)
-    _check_chain_cap(source.site_dim**span, _hidden_states(source), 2 * -(-sites // span) - 2)
+    """rho_m over j blocks (rounded up) and the kept M_{j-1}, n blocks of D**(2j-2) entries, fit; no state is built."""
+    span = source.span
+    _check_chain_cap(source.site_dim**span, source.hidden.initial.size, 2 * -(-sites // span) - 2)
 
 
 def _density(source, sites: int) -> Operator:
@@ -219,16 +219,16 @@ def _density(source, sites: int) -> Operator:
 
 
 def _build_density(source, sites: int) -> Operator:
-    """rho_m from the emission chain in j = m/k steps of its k-site blocks.  M_{j-1} is
+    """rho_m from the source's chain in j = m/k steps of its k-site blocks.  M_{j-1} is
     stepped from the blocks kept from the source's last build when those are below it,
     else from M_0, and is kept once rho_m is built; rho_m is frozen in place, as built."""
-    blocks, chain = _whole_blocks(_span(source), sites), source.chain
+    blocks, hidden, states = _whole_blocks(source.span, sites), source.hidden, source.states
     level, mixed = source.__dict__.get("_blocks", (0, None))
     if level >= blocks:
         level, mixed = 0, None
     for _ in range(level, blocks - 1):
-        mixed = _step(chain, mixed)
-    state = _owned_operator(_chain_density(chain, mixed), sites, source.site_dim)
+        mixed = _step(hidden, states, mixed)
+    state = _owned_operator(_chain_density(hidden, states, mixed), sites, source.site_dim)
     source.__dict__["_blocks"] = (blocks - 1, mixed)
     return state
 
@@ -252,6 +252,8 @@ class IIDSource:
     """rho_m = sigma^(x m) for a single-site state sigma, checked once on construction."""
 
     site_state: DensityOperator
+    hidden = _ONE_STATE
+    span = 1
 
     def __post_init__(self):
         state = density_operator(self.site_state)  # a raw matrix has no site count until validated
@@ -259,10 +261,9 @@ class IIDSource:
             raise ShapeMismatchError("iid source takes a single-site state")
         object.__setattr__(self, "site_state", state)
 
-    # every chain is built on first use: loading a config assembles its source only to check it
     @cached_property
-    def chain(self) -> EmissionChain:
-        return _emission_chain(MarkovProcess([[1.0]], [1.0]), [self.site_state.entries])
+    def states(self) -> np.ndarray:
+        return _frozen([self.site_state.entries])
 
     @property
     def site_dim(self) -> int:
@@ -283,6 +284,7 @@ class ClassicallyCorrelatedSource:
 
     process: ClassicalProcess
     alphabet: AlphabetSpec
+    span = 1
 
     def __post_init__(self):
         if self.process.alphabet_size != self.alphabet.size:
@@ -291,11 +293,14 @@ class ClassicallyCorrelatedSource:
                 f"{self.alphabet.size} alphabet vectors"
             )
 
+    @property
+    def hidden(self) -> MarkovProcess:
+        return self.process.hidden
+
     @cached_property
-    def chain(self) -> EmissionChain:
+    def states(self) -> np.ndarray:
         pure = [np.outer(v, v.conj()) for v in self.alphabet.vectors]
-        states = [sum(q * r for q, r in zip(row, pure)) for row in self.process.chain.emission]
-        return _emission_chain(self.process.chain, states)
+        return _frozen([sum(q * r for q, r in zip(row, pure)) for row in self.process.emission])
 
     @property
     def site_dim(self) -> int:
@@ -308,26 +313,34 @@ class ClassicallyCorrelatedSource:
 @dataclass(frozen=True, eq=False)
 class ChannelTransformedSource:
     """rho_m = E^(x m/c)(base rho_m) for a trace-preserving E on c sites and a library
-    base, both checked on construction.  E folds into the base's emission chain,
-    S_h -> E(S_h), each by one apply_channel call, after the chain is regrouped over
-    runs of its b-site blocks when c is no multiple of b; lcm(b, c) must divide m."""
+    base, both checked on construction.  E folds into the base's states, S_h -> E(S_h),
+    each by one apply_channel call, over the base's hidden chain, regrouped over runs of
+    its b-site blocks when c is no multiple of b; the span lcm(b, c) must divide m."""
 
     base: "QuantumSource"
     channel: KrausChannel
+    span: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.base, QuantumSource):
             raise TypeError(f"a channel transforms a library source, not a {type(self.base).__name__}")
-        span = lcm(_span(self.base), _block_sites(self.base.site_dim, self.channel.dim))
+        object.__setattr__(self, "span", lcm(self.base.span, _block_sites(self.base.site_dim, self.channel.dim)))
         _require_trace_preserving(self.channel)
-        self.__dict__["_span"] = span  # past the frozen __setattr__, as the kept states are
 
     @cached_property
-    def chain(self) -> EmissionChain:
-        span, inner = _span(self), _span(self.base)
-        base = self.base.chain if span == inner else _regroup(self.base.chain, span // inner)
-        states = [apply_channel(self.channel, Operator(s, span, self.site_dim)).entries for s in base.states]
-        return _emission_chain(base, states)
+    def hidden(self) -> MarkovProcess:
+        base, runs = self.base.hidden, self.span // self.base.span
+        if runs == 1:
+            return base
+        h, l, w = _run_ends(base.transition, self.site_dim**self.base.span, runs)
+        return MarkovProcess(base.transition[l[:, None], h] * w, base.initial[h] * w)  # checked and frozen
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        states, runs = self.base.states, self.span // self.base.span
+        if runs > 1:
+            states = _regroup_states(self.base.hidden.transition, states, runs)
+        return _frozen([apply_channel(self.channel, Operator(s, self.span, self.site_dim)).entries for s in states])
 
     @property
     def site_dim(self) -> int:
@@ -357,21 +370,6 @@ def channel_transform_source(source: QuantumSource, channel: KrausChannel) -> Ch
 # ---------------------------------------------------------------------------
 
 
-def _span(source) -> int:
-    """Sites per block of a library source's emission chain: the lcm of its channels' spans,
-    decided as each transform is constructed."""
-    return getattr(source, "_span", 1)
-
-
-def _hidden_states(source) -> int:
-    """The hidden-state count of a library source's chain, built only for k > 1-site blocks."""
-    if _span(source) > 1:
-        return source.chain.initial.size
-    while isinstance(source, ChannelTransformedSource):
-        source = source.base
-    return 1 if isinstance(source, IIDSource) else source.process.chain.initial.size
-
-
 def _check_chain_cap(block_dim: int, hidden: int, exponent: int) -> None:
     """A level of states, D**2 x D**exponent entries (D the block dimension), and the hidden
     states' blocks beside it, hidden x D**exponent, fit dense_cap()**2, the densest state's."""
@@ -393,7 +391,7 @@ def _correlation_route(source: QuantumSource, a_sites: int, b_sites: int, max_ga
         raise BackendError(f"unknown backend {backend!r}")
     if not isinstance(source, QuantumSource):
         raise BackendError(f"correlations need a library source's chain, which a {type(source).__name__} lacks")
-    hidden, span = _hidden_states(source), _span(source)
+    hidden, span = source.hidden.initial.size, source.span
     a_blocks, b_blocks, widest = -(-a_sites // span), -(-b_sites // span), a_sites + max_gap + b_sites
     if backend == "dense":  # the widest a + gap + b in blocks, rounded down
         _check_chain_cap(source.site_dim**span, hidden, a_blocks + b_blocks + widest // span - 2)
@@ -428,7 +426,7 @@ def source_correlation(
     if a.site_dim != source.site_dim or b.site_dim != source.site_dim:
         raise ShapeMismatchError("observable site dim does not match source")
     backend = _correlation_route(source, a.sites, b.sites, int(gaps.max(initial=0)), backend)
-    span = _span(source)
+    span = source.span
     if span == 1:
         return _chain_correlation(source, a, b, gaps, backend)
     for sites in (a.sites + gaps + b.sites).tolist():
@@ -451,8 +449,8 @@ def _chain_correlation(source, a: Operator, b: Operator, gaps: np.ndarray, backe
         gaps = gaps.tolist()
         pairs = _kept_pairs(source, a.sites, b.sites, gaps)
         return np.array([np.einsum("abcd,ca,db->", pairs[gap], a.entries, b.entries) for gap in gaps], dtype=complex)
-    f, g = (_state_table(source.chain.states, x) for x in (a, b))
-    return classical_correlation_sweep(_hidden_process(source), f, g, gaps)
+    f, g = (_state_table(source.states, x) for x in (a, b))
+    return classical_correlation_sweep(source.hidden, f, g, gaps)
 
 
 def _kept_pairs(source, a_blocks: int, b_blocks: int, gaps: list) -> dict:
@@ -462,21 +460,11 @@ def _kept_pairs(source, a_blocks: int, b_blocks: int, gaps: list) -> dict:
     kept = source.__dict__.setdefault("_pairs", {}).setdefault((a_blocks, b_blocks), {})
     missing = set(gaps).difference(kept)
     if missing:
-        made = _chain_pairs(source.chain, a_blocks, b_blocks, missing)
+        made = _chain_pairs(source.hidden, source.states, a_blocks, b_blocks, missing)
         for state in made.values():
             state.setflags(write=False)
         kept.update(made)
     return kept
-
-
-def _hidden_process(source) -> MarkovProcess:
-    """The hidden Markov chain of source's emission chain as a process, built on the
-    first transfer correlation and kept with the source, as its blocks are."""
-    kept = source.__dict__
-    if "_process" not in kept:
-        chain = source.chain
-        kept["_process"] = MarkovProcess(chain.transition, chain.initial)
-    return kept["_process"]
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ PERIOD2_T = np.array([[0.0, 1.0], [1.0, 0.0]])
 def forward_probability(process, word):
     """Pr(word) as the forward product initial D(w_1) T D(w_2) .. T D(w_m) 1, one symbol at a
     time: an oracle for marginal_table, which builds every word of a length at once."""
-    chain = process.chain
-    v = chain.initial * chain.emission[:, word[0]]
+    hidden, emission = process.hidden, process.emission
+    v = hidden.initial * emission[:, word[0]]
     for s in word[1:]:
-        v = (v @ chain.transition) * chain.emission[:, s]
+        v = (v @ hidden.transition) * emission[:, s]
     return float(v.sum())
 
 
@@ -406,10 +406,10 @@ class TestEarlyExit:
 def _stepped_sweep(process, f, g, gaps):
     """Reference for classical_correlation_sweep: u T^(gap+1) h with one step per gap, no fill."""
     f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
-    chain = process.chain
-    p, e = chain.transition.astype(complex), chain.emission
+    hidden, e = process.hidden, process.emission
+    p = hidden.transition.astype(complex)
     n = p.shape[0]
-    u = (ss.classical._hidden_table(chain, f.ndim) * f[..., None]).reshape(-1, n).sum(axis=0)
+    u = (ss.classical._hidden_table(hidden, e, f.ndim) * f[..., None]).reshape(-1, n).sum(axis=0)
     h = np.einsum("...z,hz->...h", g, e)
     for _ in range(g.ndim - 1):
         h = np.einsum("...zh,hz->...h", h @ p.T, e)
@@ -516,8 +516,9 @@ class TestProcessValidation:
     @pytest.mark.parametrize("initial", [None, [1.0, 0.0]])
     def test_markov_chain_shares_the_process_arrays(self, initial):
         p = ss.MarkovProcess(APERIODIC_T, initial=initial)
-        assert np.shares_memory(p.transition, p.chain.transition)
-        assert np.shares_memory(p.initial, p.chain.initial)
+        assert p.hidden is p
         for process in (p, ss.IIDProcess([0.8, 0.2]), ss.MixtureProcess([0.5, 0.5], (p, p))):
-            assert not any(arr.flags.writeable for arr in process.chain)
+            hidden = process.hidden
+            assert isinstance(hidden, ss.MarkovProcess) and process.emission.shape == (hidden.initial.size, 2)
+            assert not any(arr.flags.writeable for arr in (hidden.initial, hidden.transition, process.emission))
         assert not p.transition.flags.writeable and not p.initial.flags.writeable

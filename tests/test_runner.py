@@ -1134,11 +1134,10 @@ class TestCapsAtLoad:
 
     @pytest.mark.parametrize("backend", ["auto", "transfer"])
     def test_chain_routes_skip_the_sweep_cap_and_build_no_chain(self, monkeypatch, backend):
+        # every family's states, base and channel images alike, are stacked by sources._frozen
         built = []
-        real = ss.sources._emission_chain
-        monkeypatch.setattr(
-            ss.sources, "_emission_chain", lambda *args: built.append(1) or real(*args)
-        )
+        real = ss.sources._frozen
+        monkeypatch.setattr(ss.sources, "_frozen", lambda *args: built.append(1) or real(*args))
         damped = {"kind": "amplitude_damping", "params": {"gamma": 0.4}}
         config = ExperimentConfig.from_dict({**DEFECT_CAP_CONFIG, "backend": backend, "channel": damped})
         assert config.n_max == 40

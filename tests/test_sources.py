@@ -437,7 +437,7 @@ class TestEmissionFold:
     def test_fold_matches_kraus_layer(self, d, source, channel):
         base, ch = FOLD_SOURCES[d, source], FOLD_CHANNELS[d][channel]
         folded = ss.channel_transform_source(base, ch)
-        assert folded.chain is not None
+        assert folded.states.shape == (base.hidden.initial.size, d, d)
         for m in range(1, 7):
             expected = ss.apply_channel(ch, ss.Operator(sitewise_density(base, m), m, d)).entries
             assert np.max(np.abs(folded.density(m).entries - expected)) <= 1e-14
@@ -455,9 +455,9 @@ class TestEmissionFold:
 
     def test_folded_states_are_channel_images(self, fleet):
         ch = ss.amplitude_damping_channel(0.4)
-        base = fleet["mixture"].chain
-        folded = ss.channel_transform_source(fleet["mixture"], ch).chain
-        assert folded.initial is base.initial and folded.transition is base.transition
+        base = fleet["mixture"]
+        folded = ss.channel_transform_source(base, ch)
+        assert folded.hidden is base.hidden
         for s, t in zip(base.states, folded.states):
             assert np.array_equal(t, ss.apply_channel(ch, ss.Operator(s, 1, 2)).entries)
         assert not folded.states.flags.writeable
@@ -472,7 +472,7 @@ class TestMultiSiteChannel:
 
     def test_density_matches_sitewise(self, fleet, blocked):
         sitewise = ss.channel_transform_source(fleet["iid"], ss.amplitude_damping_channel(0.4))
-        assert blocked.chain.states.shape == (1, 4, 4)
+        assert blocked.states.shape == (1, 4, 4)
         for m in (2, 4, 6):
             assert np.max(np.abs(blocked.density(m).entries - sitewise.density(m).entries)) <= 1e-14
         with pytest.raises(AlignmentError):
@@ -511,10 +511,24 @@ class TestMultiSiteChannel:
     def test_nested_spans_regroup_to_their_lcm(self, fleet):
         inner = ss.channel_transform_source(fleet["period2"], ss.random_unitary_channel(8, seed=3))
         src = ss.channel_transform_source(inner, ss.random_unitary_channel(4, seed=4))
-        assert ss.sources._span(src) == 6 and src.chain.states.shape == (2, 64, 64)
+        assert src.span == 6 and src.states.shape == (2, 64, 64)
         assert np.max(np.abs(src.density(6).entries - sitewise_density(src, 6))) <= 1e-14
         with pytest.raises(AlignmentError, match="blocks span 6 sites, which does not divide 4"):
             src.density(4)
+
+    def test_build_cap_refuses_before_any_channel_work(self, monkeypatch):
+        # two 6-state chains regroup into 72 hidden states over two-site blocks of side 36: rho_12 over
+        # 6 blocks keeps 72 blocks of 36**10 entries, refused from the hidden chain, before any state
+        rng = np.random.default_rng(7)
+        chains = tuple(ss.MarkovProcess(rng.dirichlet(np.ones(6), size=6)) for _ in range(2))
+        base = ss.construct_classically_correlated(ss.MixtureProcess([0.5, 0.5], chains), ss.computational_alphabet(6))
+        src = ss.channel_transform_source(base, ss.random_unitary_channel(36, seed=8))
+        calls, apply = [], ss.sources.apply_channel
+        monkeypatch.setattr(ss.sources, "apply_channel", lambda *args: calls.append(args) or apply(*args))
+        with pytest.raises(CapExceededError, match=r"\(72 hidden states\)"):
+            ss.check_consistency(src, max_sites=12, block=2)
+        assert calls == [] and "states" not in src.__dict__ and "states" not in base.__dict__
+        assert src.states.shape == (72, 36, 36) and len(calls) == 72
 
     def test_sweep_refused_before_any_work(self, blocked, builds, monkeypatch):
         drawn = []
@@ -580,8 +594,8 @@ class TestBlockChain:
             src = ss.channel_transform_source(ss.channel_transform_source(base, channel(span, 1)), channel(1, 2))
         else:
             src = ss.channel_transform_source(ss.channel_transform_source(base, channel(span, 1)), channel(span, 2))
-        chain = src.chain
-        assert np.max(np.abs(chain.transition.sum(axis=1) - 1)) <= 1e-14 and abs(chain.initial.sum() - 1) <= 1e-14
+        hidden = src.hidden
+        assert np.max(np.abs(hidden.transition.sum(axis=1) - 1)) <= 1e-14 and abs(hidden.initial.sum() - 1) <= 1e-14
         sitewise = {m: sitewise_density(src, m) for m in (span, 2 * span)}
         for m, rho in sitewise.items():
             assert np.max(np.abs(src.density(m).entries - rho)) <= 1e-14, m
@@ -631,9 +645,9 @@ def kernel_calls(monkeypatch):
 
     calls, kernel = [], sources._chain_pairs
 
-    def counting(chain, a_sites, b_sites, gaps):
+    def counting(hidden, states, a_sites, b_sites, gaps):
         calls.append(sorted(gaps))
-        return kernel(chain, a_sites, b_sites, gaps)
+        return kernel(hidden, states, a_sites, b_sites, gaps)
 
     monkeypatch.setattr(sources, "_chain_pairs", counting)
     return calls
@@ -743,9 +757,10 @@ class TestDensityCache:
         assert kernel_calls == [[0, 1, 2, 3]]
 
     @pytest.mark.parametrize("name", ["iid", "correlated", "transformed"])
-    def test_sweep_builds_the_hidden_process_once(self, monkeypatch, name):
+    def test_sweep_runs_on_the_sources_own_hidden_chain(self, monkeypatch, name):
+        # a source's hidden chain is its process's, or its base's under a one-site channel,
+        # so the transfer sweep constructs no MarkovProcess of its own
         src = cache_sources()[name]
-        src.chain  # built on first use, with its own processes
         built, init = [], ss.MarkovProcess.__post_init__
 
         def counting(process):
@@ -754,7 +769,13 @@ class TestDensityCache:
 
         monkeypatch.setattr(ss.MarkovProcess, "__post_init__", counting)
         sweeps = [ss.sweep_report(src, n_max=40, backend="transfer", random_pair_count=2, seed=s) for s in (3, 3)]
-        assert len(sweeps[0].pairs) > 1 and len(built) == 1
+        assert len(sweeps[0].pairs) > 1 and built == []
+        if name == "transformed":
+            assert src.hidden is src.base.hidden
+            src = src.base
+        if name != "iid":
+            assert src.hidden is src.process.hidden
+        assert isinstance(src.hidden, ss.MarkovProcess)
         fresh = ss.sweep_report(cache_sources()[name], n_max=40, backend="transfer", random_pair_count=2, seed=3)
         for sweep in sweeps:
             for pair, other in zip(sweep.pairs, fresh.pairs):
@@ -819,7 +840,7 @@ def full_rho_correlation(source, a, b, gaps) -> np.ndarray:
     and pair the two-block state with a and b.  On a chain of k-site blocks, a is padded on the
     right and b on the left to whole blocks first, and where the two then share a block, rho is
     paired with a (x) I^gap (x) b."""
-    span = ss.sources._span(source)
+    span = source.span
     pad_a, pad_b = -a.sites % span, -b.sites % span
     whole_a, whole_b = ss.embed_observable(a, 0, pad_a), ss.embed_observable(b, pad_b, 0)
     out = np.empty(len(gaps), dtype=complex)
@@ -916,14 +937,16 @@ BUILD_ORDERS = {
 }
 
 
-def kron_loop_density(chain, sites: int) -> np.ndarray:
-    """The reference loop: T_1(h) = S_h, T_j(h) = kron(S_h, sum_g P[h, g] T_{j-1}(g)) by one
-    np.kron per hidden state, and rho_m = sum_h initial(h) T_m(h)."""
-    blocks = list(chain.states)
-    for _ in range(sites - 1):
-        mixed = [sum(w * t for w, t in zip(row, blocks)) for row in chain.transition]
-        blocks = [np.kron(s, m) for s, m in zip(chain.states, mixed)]
-    return sum(q * t for q, t in zip(chain.initial, blocks))
+def kron_loop_density(source, blocks: int) -> np.ndarray:
+    """The reference loop over a source's hidden chain and states: T_1(h) = S_h,
+    T_j(h) = kron(S_h, sum_g P[h, g] T_{j-1}(g)) by one np.kron per hidden state,
+    and rho over j blocks = sum_h initial(h) T_j(h)."""
+    hidden, states = source.hidden, source.states
+    terms = list(states)
+    for _ in range(blocks - 1):
+        mixed = [sum(w * t for w, t in zip(row, terms)) for row in hidden.transition]
+        terms = [np.kron(s, m) for s, m in zip(states, mixed)]
+    return sum(q * t for q, t in zip(hidden.initial, terms))
 
 
 class TestIncrementalBuild:
@@ -934,12 +957,11 @@ class TestIncrementalBuild:
     def test_ascending_builds_match_the_kron_loop(self, name):
         make, counts = KERNEL_SOURCES[name]
         src = make()
-        span = ss.sources._span(src)
         for m in counts:
             got = src.density(m).entries
-            assert got.tobytes() == kron_loop_density(src.chain, m // span).tobytes(), m
-            if span > 1:  # the channel on the base chain's state, through the Kraus layer
-                old = ss.apply_channel(src.channel, ss.Operator(kron_loop_density(src.base.chain, m), m, src.site_dim))
+            assert got.tobytes() == kron_loop_density(src, m // src.span).tobytes(), m
+            if src.span > 1:  # the channel on the base chain's state, through the Kraus layer
+                old = ss.apply_channel(src.channel, ss.Operator(kron_loop_density(src.base, m), m, src.site_dim))
                 assert np.max(np.abs(got - old.entries)) <= 1e-14, m
 
     @pytest.mark.parametrize("order", sorted(BUILD_ORDERS))
@@ -955,7 +977,7 @@ class TestIncrementalBuild:
         src = KERNEL_SOURCES["transformed"][0]()
         src.density(5)
         level, mixed = src.__dict__["_blocks"]
-        assert level == 4 and mixed.shape == (len(src.chain.initial), 2**4, 2**4)
+        assert level == 4 and mixed.shape == (len(src.hidden.initial), 2**4, 2**4)
         src.density(2)
         assert src.__dict__["_blocks"][0] == 1
 
@@ -987,7 +1009,7 @@ class TestIncrementalBuild:
         src = make()
         src.density(4)
         kept = src.__dict__["_blocks"]
-        assert kept[0] == 1 and kept[1].shape == (len(src.chain.initial), 4, 4)
+        assert kept[0] == 1 and kept[1].shape == (len(src.hidden.initial), 4, 4)
         with pytest.raises(AlignmentError):
             src.density(3)
         assert sorted(src.__dict__["_densities"]) == [4] and src.__dict__["_blocks"] is kept
@@ -1011,7 +1033,7 @@ class TestLibraryStates:
     def test_chain_densities_skip_the_checked_constructor(self, name, monkeypatch):
         make, counts = KERNEL_SOURCES[name]
         src = make()
-        assert src.chain is not None  # building the chain checks its one-site states, once
+        assert src.states is not None  # building the states checks a channel's images, once
         checked = []
         post_init = ss.Operator.__post_init__
         monkeypatch.setattr(ss.Operator, "__post_init__", lambda op: checked.append(op) or post_init(op))

@@ -379,7 +379,8 @@ def generate(workload, seed):
 '''
 
 
-def test_regen_reports_is_reproducible(tmp_path):
+def _regen_root(tmp_path) -> Path:
+    """A tree of this repository's src with one stub workload and one demo config."""
     root = tmp_path / "root"
     (root / "perfbench").mkdir(parents=True)
     (root / "demos" / "configs").mkdir(parents=True)
@@ -388,6 +389,11 @@ def test_regen_reports_is_reproducible(tmp_path):
     (root / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "tiny"}]}))
     demo = {"name": "demo", "seed": 1, "n_max": 10, "source": {"kind": "iid", "state": [[1, 0], [0, 0]]}}
     (root / "demos" / "configs" / "demo.json").write_text(json.dumps(demo))
+    return root
+
+
+def test_regen_reports_is_reproducible(tmp_path):
+    root = _regen_root(tmp_path)
     regen = _load_tool("regen_reports")
     for out in ("a", "b"):
         assert regen.main(["--root", str(root), "--out", str(tmp_path / out), "--seeds", "0"]) == 0
@@ -400,3 +406,31 @@ def test_regen_reports_is_reproducible(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     # a second run into a filled directory would hide files the tree no longer writes
     assert regen.main(["--root", str(root), "--out", str(tmp_path / "a")]) == 2
+
+
+def test_regen_reports_writes_a_relative_out_where_it_checked_it(tmp_path, monkeypatch):
+    # the CLI runs in --root: a relative --out is the caller's, both for the emptiness check and the reports
+    root, caller = _regen_root(tmp_path), tmp_path / "caller"
+    caller.mkdir()
+    monkeypatch.chdir(caller)
+    regen = _load_tool("regen_reports")
+    assert regen.main(["--root", str(root), "--out", "reports", "--seeds", "0"]) == 0
+    assert (caller / "reports" / "tiny-0" / "tiny_0.report.json").is_file()
+    assert (caller / "reports" / "demos" / "demo.report.json").is_file()
+    assert not (root / "reports").exists()
+    assert regen.main(["--root", str(root), "--out", "reports", "--seeds", "0"]) == 2
+
+
+def test_an_rss_gain_below_the_level_step_is_no_claim():
+    # BENCH_pr25 ran the same program code in two checkouts; swapped, its dense_short peak_rss_mb
+    # passes the pair rule (10/10 wins, a 0.256 MB gain over a 0.126 MB IQR) on the checkout alone
+    bench = _load_tool("bench_record")
+    runs = [json.loads((ROOT / f"BENCH_pr25{side}.json").read_text())["workloads"]["dense_short"]["runs"]
+            for side in ("", "_parent")]
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    rss = [[r["metrics"]["peak_rss_mb"] for r in side if r["trace"] == 0] for side in runs]
+    pairs = bench.judge_pairs(*rss, "lower")
+    assert pairs["claim_holds"] and pairs["wins"] == 10 and pairs["gain"] < bench.RSS_LEVEL_STEP_MB
+    assert bench.RSS_LEVEL_STEP_MB >= 0.256
+    verdict = bench.judge(end_to_end, *runs)["metrics"]["peak_rss_mb"]
+    assert verdict["claim"] == "no" and not verdict["claim_holds"]

@@ -10,7 +10,8 @@ parent first in even pairs, so a drift of the host's speed hits both alike.
 The runs and their medians go to ``BENCH_<tag>.json`` (DIR) and
 ``BENCH_<tag>_parent.json`` (PDIR) in this script's repository.  DIR's record
 also keeps the ``judgement`` of each workload's trace-0 pairs, printed as a
-table: per end-to-end metric, the claim rule (``judge_pairs``), the
+table: per end-to-end metric, the claim rule (``judge_pairs``; on
+``peak_rss_mb`` also a gain of at least ``RSS_LEVEL_STEP_MB``), the
 regression check (``judge_bound``) and, since ``speed.factor`` moves with
 the program's own load, the claim on unscaled seconds ("holds (scaled only)"
 when only the scaled claim holds); README's "Measuring a change" reads it.
@@ -33,6 +34,9 @@ HERE = Path(__file__).resolve().parent
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
 TRACED_SEEDS = 2  # per-layer runs last as long as end-to-end ones, and no claim reads them
+# in an A/A record, two checkouts of the same program code differed by up to 0.26 MB of
+# peak_rss_mb, in the same direction in 10 of 10 pairs: a smaller gain may come from the checkout
+RSS_LEVEL_STEP_MB = 0.5
 
 
 def quartiles(values) -> tuple:
@@ -84,6 +88,8 @@ def judge(end_to_end: list, parent: list, change: list) -> dict:
         name, better = m["name"], m["better"]
         runs = [[r["metrics"][name] for r in rows] for rows in sides.values()]
         verdict = {"better": better, **judge_pairs(*runs, better), **judge_bound(*runs, better, m["bound"])}
+        if name == "peak_rss_mb" and verdict["gain"] < RSS_LEVEL_STEP_MB:
+            verdict["claim_holds"] = False
         verdict["claim"] = "holds" if verdict["claim_holds"] else "no"
         if m["unit"] == "s":
             unscaled = [[r["unscaled_metrics"][name] for r in rows] for rows in sides.values()]

@@ -84,10 +84,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="directory for the reports")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     args = parser.parse_args(argv)
-    if args.out.exists() and any(args.out.iterdir()):
-        print(f"error: {args.out} is not empty; stale reports would pass the diff", file=sys.stderr)
+    out = args.out.resolve()  # the CLI runs in --root, so a relative OUT is the caller's, made absolute
+    if out.exists() and any(out.iterdir()):
+        print(f"error: {out} is not empty; stale reports would pass the diff", file=sys.stderr)
         return 2
-    codes = regenerate(args.root, args.out, args.seeds)
+    codes = regenerate(args.root, out, args.seeds)
     for target, code in codes:
         print(f"{target}\texit {code}")
     return 0 if all(code in VERDICT_CODES for _, code in codes) else 1
