@@ -39,8 +39,8 @@ _DEFAULT_TOL = {"transfer": 1e-2, "dense": 5e-2}
 DECAY_FLOOR = 1e-13
 _ORDER = {"fail": 0, "inconclusive": 1, "pass": 2}
 _PROJECTOR_LIMIT = 8
-# a sweep keeps about 65 bytes per (pair, shift) row and peaks near 80, and emission adds
-# one chunk of rows, not a pair's: a run at the cap stays near 0.4 GB; no override
+# a sweep's reports keep 64 bytes per (pair, shift) row (0.32 GB at the cap) and a run peaks
+# below 100 (under 0.5 GB); emission adds one chunk of rows, not a pair's; no override
 _SWEEP_ROW_CAP = 5 * 10**6
 
 

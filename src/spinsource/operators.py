@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, ShapeMismatchError
+from .errors import CapExceededError, ConfigError, ShapeMismatchError
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -31,8 +31,20 @@ for _p in (PAULI_X, PAULI_Y, PAULI_Z):
 
 
 def dense_cap() -> int:
-    """Current dense matrix side-length cap (env override via SPINSOURCE_DENSE_CAP)."""
-    return int(os.environ.get(DENSE_CAP_ENV, DEFAULT_DENSE_CAP))
+    """Current dense matrix side-length cap (env override via SPINSOURCE_DENSE_CAP).
+
+    A value that is not an integer >= 1 is a ConfigError naming the variable.
+    """
+    raw = os.environ.get(DENSE_CAP_ENV)
+    if raw is None:
+        return DEFAULT_DENSE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"must be an integer >= 1, not {raw!r}", DENSE_CAP_ENV)
+    return cap
 
 
 def _check_cap(dim: int, sites: int = 1) -> None:

@@ -48,6 +48,14 @@ builds of rho, on every backend), then ergodicity._sweep_plan, which also
 refuses a horizon of fewer than 4 shifts (a ConfigError at n_max).
 The channel's Kraus count (KRAUS_COUNT_CAP) is checked as it is decoded.
 
+emit_report writes the JSON report with json.dumps(payload, sort_keys=True,
+indent=2)'s bytes through _json_text, a direct writer (indent forces json's
+pure-Python encoder).  In the decay CSV, corr_real, corr_imag, the pair's
+constant target and abs_deviation are formatted as one fragment per run of
+rows in which none of the three columns changes bit pattern; those and
+cesaro_mean are formatted by _float_strings, each distinct value once when
+a column repeats a few values.
+
 emit_report formats a long decay CSV on every CPU the process may run on:
 on Linux, with more than one such CPU, at least _FORK_MIN_ROWS rows and no
 other Python thread alive (a caller's own threads keep it serial), the rows
@@ -605,44 +613,25 @@ def _csv_field(value) -> str:
 
 
 def _float_strings(column) -> list:
-    """repr of each float64 in column, formatting each run of equal cells once.
+    """repr of each float64 in column, each distinct bit pattern formatted once
+    when the column repeats a few values.
 
-    Runs of bitwise-equal neighbours collapse to their heads in numpy, and
-    the heads' bits map to their values in one dict.  How the heads are
-    formatted depends on that dict:
-
-    * when it holds more than half as many entries as there are runs, most
-      heads are distinct (a Cesaro mean creeping towards its limit), so each
-      head is formatted directly: a second dict would cost more lookups than
-      it saves repr calls;
-    * otherwise the column cycles or settles (period-2 correlations, target
-      and iid columns), and each distinct bit pattern is formatted once
-      through a dict keyed on the bits.
-
-    When every cell is its own run the head strings are the column's, and
-    the np.repeat index that expands runs to rows is skipped.  Keying on the
-    bits keeps -0.0 apart from 0.0 and NaN payloads exact.  A dict needs no
-    sort, and the strings stay in a list: the first call into numpy's sort
-    kernels (np.unique), and an object array of the strings expanded by
-    np.repeat, each raise the peak RSS of a run with small CSVs.
+    The cells' bits map to their values in one dict.  When it holds more than
+    half as many entries as there are cells, most cells are distinct (a Cesaro
+    mean creeping towards its limit, a decaying correlation) and each is
+    formatted directly: a second dict would cost more lookups than it saves
+    repr calls.  Otherwise (a cycle, a period-2 chain) each distinct bit
+    pattern is formatted once; keying on the bits keeps -0.0 apart from 0.0
+    and NaN payloads exact.
     """
     column = np.ascontiguousarray(column, dtype=np.float64)
-    bits = column.view(np.uint64)
-    heads = np.ones(bits.size, dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=heads[1:])
-    starts = np.flatnonzero(heads)
-    head_bits = bits[starts].tolist()
-    head_values = column[starts].tolist()
-    values = dict(zip(head_bits, head_values))
-    if 2 * len(values) > len(head_bits):
-        strings = list(map(repr, head_values))
-    else:
-        text = {b: repr(x) for b, x in values.items()}
-        strings = list(map(text.__getitem__, head_bits))
-    if len(strings) == bits.size:
-        return strings
-    runs = np.repeat(np.arange(starts.size), np.diff(starts, append=bits.size))
-    return list(map(strings.__getitem__, runs.tolist()))
+    values = column.tolist()
+    bits = column.view(np.uint64).tolist()
+    distinct = dict(zip(bits, values))
+    if 2 * len(distinct) > len(bits):
+        return list(map(repr, values))
+    text = {b: repr(x) for b, x in distinct.items()}
+    return list(map(text.__getitem__, bits))
 
 
 # rows per chunk of the decay CSV: one chunk's cell and row strings are alive at once, not a pair's
@@ -656,24 +645,35 @@ _FORK_MIN_ROWS = 2 * _CSV_CHUNK_ROWS
 
 def _decay_lines(pair, start=0, stop=None):
     """The pair's CSV rows start..stop-1, one per shift index, each ending in
-    csv's "\r\n", as one string per slice of _CSV_CHUNK_ROWS rows."""
+    csv's "\r\n", as one string per slice of _CSV_CHUNK_ROWS rows.
+
+    A row is f"{head}{i},{fragment}{mean}\r\n".  The fragment holds the
+    corr_real, corr_imag, target and abs_deviation cells: it is formatted
+    once per run of rows in which none of them changes bit pattern, from the
+    runs' cells as _float_strings formats them, and repeated along the run.
+    The cells stay in per-column lists: a tuple of three cells per run left
+    the peak RSS of a 460,000-row run 2.4 MB higher.
+    """
     strong = pair.strong_mixing
     head = f"{_csv_field(pair.label)},"
     tail = f",{float(strong.target.real)!r},"
-    columns = (
-        strong.statistics.real,
-        strong.statistics.imag,
-        strong.deviations,
-        pair.ergodic_mean.statistics.real,
-    )
+    settled = np.stack((strong.statistics.real, strong.statistics.imag, strong.deviations))
+    cesaro = pair.ergodic_mean.statistics.real
     stop = strong.shifts.size if stop is None else stop
     for first in range(start, stop, _CSV_CHUNK_ROWS):
         rows = slice(first, min(first + _CSV_CHUNK_ROWS, stop))
+        bits = settled[:, rows].view(np.uint64)
+        heads = np.ones(bits.shape[1], dtype=bool)
+        np.any(bits[:, 1:] != bits[:, :-1], axis=0, out=heads[1:])
+        starts = np.flatnonzero(heads)
+        re, im, dev = map(_float_strings, settled[:, rows][:, starts])
+        texts = [f"{a},{b}{tail}{c}," for a, b, c in zip(re, im, dev)]
+        if starts.size < heads.size:
+            expand = np.repeat(np.arange(starts.size), np.diff(starts, append=heads.size))
+            texts = list(map(texts.__getitem__, expand.tolist()))
         yield "".join([
-            f"{head}{i},{re},{im}{tail}{dev},{mean}\r\n"
-            for i, re, im, dev, mean in zip(
-                strong.shifts[rows].tolist(), *(_float_strings(c[rows]) for c in columns)
-            )
+            f"{head}{i},{text}{mean}\r\n"
+            for i, text, mean in zip(strong.shifts[rows].tolist(), texts, _float_strings(cesaro[rows]))
         ])
 
 
@@ -782,6 +782,39 @@ def _rewritten(path, newline=None):
                 os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
+_INF = float("inf")
+
+
+def _json_text(obj, indent="\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, written
+    directly: indent sends json.dumps through its pure-Python encoder, a
+    chain of nested generators that resumes once per token."""
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        return "Infinity" if obj == _INF else "-Infinity" if obj == -_INF else float.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [_json_text(value, inner) for value in obj]
+        return f"[{inner}{f',{inner}'.join(items)}{indent}]" if items else "[]"
+    if not isinstance(obj, dict):
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    items = []
+    for key, value in sorted(obj.items()):
+        if not isinstance(key, str):
+            if not (key is None or isinstance(key, (int, float))):
+                raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+            key = _json_text(key)
+        items.append(f"{json.encoder.encode_basestring_ascii(key)}: {_json_text(value, inner)}")
+    return f"{{{inner}{f',{inner}'.join(items)}{indent}}}" if items else "{}"
+
+
 def emit_report(report: RunReport, output_dir=None) -> list:
     """Write <name>.report.json, and <name>.decay.csv when a mixing test ran.
 
@@ -800,7 +833,7 @@ def emit_report(report: RunReport, output_dir=None) -> list:
     written = []
     json_path = directory / f"{report.config.name}.report.json"
     with _rewritten(json_path) as fh:
-        fh.write(json.dumps(report.payload(), sort_keys=True, indent=2) + "\n")
+        fh.write(_json_text(report.payload()) + "\n")
     written.append(json_path)
     csv_path = directory / f"{report.config.name}.decay.csv"
     if report.sweep is not None and report.sweep.pairs:

@@ -4,6 +4,7 @@ import builtins
 import csv
 import dataclasses
 import gc
+import io
 import json
 import os
 import stat
@@ -15,6 +16,7 @@ import time
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from spinsource.runner import (
     ExperimentConfig,
     RunReport,
     _float_strings,
+    _json_text,
     emit_report,
     run_config_file,
     run_experiment,
@@ -260,38 +263,55 @@ def _complex(real, imag):
     return out
 
 
-def _crafted_pair(label, column, target):
-    """A PairReport whose statistics are the given column and its rearrangements."""
-    column = np.asarray(column, dtype=float)
-    n = column.size
+def _columns_pair(label, real, imag, devs, cesaro, target):
+    """A PairReport whose CSV columns are the given float columns, bit for bit."""
+    n = len(real)
     shifts = np.arange(1, n + 1)
-    devs = np.random.default_rng(n).permutation(column)
+    devs = np.asarray(devs, dtype=float)
 
     def report(test, stats):
         return ErgodicityReport(test, n, target, shifts, stats, devs, 0.0, 0.01, "pass")
 
     return PairReport(
         label,
-        report("ergodic_mean", _complex(np.roll(column, 3), column)),
+        report("ergodic_mean", _complex(cesaro, cesaro)),
         report("weak_mixing", devs),
-        report("strong_mixing", _complex(column, column[::-1])),
+        report("strong_mixing", _complex(real, imag)),
     )
+
+
+def _crafted_pair(label, column, target):
+    """A PairReport whose statistics are the given column and its rearrangements."""
+    column = np.asarray(column, dtype=float)
+    devs = np.random.default_rng(column.size).permutation(column)
+    return _columns_pair(label, column, column[::-1], devs, np.roll(column, 3), target)
+
+
+def _reference_rows(pairs) -> list:
+    """The decay CSV's body rows as csv.writer writes them, one string per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    rows = []
+    for pair in pairs:
+        strong = pair.strong_mixing
+        cesaro = pair.ergodic_mean.statistics
+        for j, i in enumerate(strong.shifts):
+            values = (
+                strong.statistics[j].real, strong.statistics[j].imag,
+                strong.target.real, strong.deviations[j], cesaro[j].real,
+            )
+            writer.writerow([pair.label, int(i)] + [repr(float(x)) for x in values])
+            rows.append(buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
+    return rows
 
 
 def _reference_csv(report, path):
     """The decay CSV as csv.writer writes it, one row at a time."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for pair in report.sweep.pairs:
-            strong = pair.strong_mixing
-            cesaro = pair.ergodic_mean.statistics
-            for j, i in enumerate(strong.shifts):
-                values = (
-                    strong.statistics[j].real, strong.statistics[j].imag,
-                    strong.target.real, strong.deviations[j], cesaro[j].real,
-                )
-                writer.writerow([pair.label, int(i)] + [repr(float(x)) for x in values])
+        csv.writer(fh).writerow(CSV_HEADER)
+        fh.writelines(_reference_rows(report.sweep.pairs))
 
 
 class TestDecodeOnce:
@@ -715,7 +735,8 @@ POOL_BITS = np.array(FLOAT_POOL).view(np.uint64).tolist()
 
 
 class TestFloatStrings:
-    """_float_strings is repr per cell, whatever the runs and repeats of the column."""
+    """_float_strings (every decay-CSV float column's formatter) is repr per cell,
+    whatever the runs and repeats of the column."""
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(st.integers(0, len(FLOAT_POOL) - 1), st.integers(1, 40)), max_size=30))
@@ -745,12 +766,12 @@ class TestFloatStrings:
     @pytest.mark.parametrize(
         "values, formatted",
         [
-            ([0.1, 0.2, 0.3, 0.4], 4),  # every cell a distinct run: each head directly
-            ([1.0, 1.0, 2.0, 2.0, 3.0], 3),  # distinct runs: each head directly
-            ([1.0, 2.0, 1.0, 2.0, 3.0], 5),  # 3 values in 5 runs, more than half: each head
-            ([1.0, 2.0, 1.0, 2.0, 3.0, 4.0], 6),  # 4 values in 6 runs: each head
-            ([1.0, 2.0, 1.0, 2.0, 3.0, 4.0, 3.0, 4.0], 4),  # 4 values in 8 runs, just half: each value once
-            ([1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 3.0], 3),  # 3 values in 7 runs: each value once
+            ([0.1, 0.2, 0.3, 0.4], 4),  # every cell distinct: each cell directly
+            ([1.0, 1.0, 1.0, 2.0, 2.0, 3.0], 3),  # 3 values in 6 cells, just half: each value once
+            ([1.0, 2.0, 1.0, 2.0, 3.0], 5),  # 3 values in 5 cells, more than half: each cell
+            ([1.0, 2.0, 1.0, 2.0, 3.0, 4.0], 6),  # 4 values in 6 cells: each cell
+            ([1.0, 2.0, 1.0, 2.0, 3.0, 4.0, 3.0, 4.0], 4),  # 4 values in 8 cells, just half: each value once
+            ([1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 3.0], 3),  # 3 values in 7 cells: each value once
             ([0.5, -0.5] * 10, 2),  # a period-2 column: each value once
         ],
     )
@@ -764,6 +785,119 @@ class TestFloatStrings:
         monkeypatch.setattr(ss.runner, "repr", counting, raising=False)
         assert _float_strings(np.array(values)) == [repr(x) for x in values]
         assert len(calls) == formatted
+
+
+# bit patterns that only a bitwise comparison tells apart from their twin
+BIT_TWINS = [(0x0000000000000000, 0x8000000000000000), (0x7FF8000000000000, 0x7FF8000000000001), (0x1, 0x2)]
+
+
+@st.composite
+def decay_column(draw, n):
+    """n cells of a decay column: runs of pool values that settle on the last,
+    a period-2 column, or one twin that turns into the other (and back)."""
+    kind = draw(st.sampled_from(("settling", "period2", "twins")))
+    if kind == "settling":
+        runs = draw(st.lists(st.tuples(st.sampled_from(POOL_BITS), st.integers(1, 12)), min_size=1, max_size=6))
+        bits = [b for b, length in runs for _ in range(length)]
+        bits += [bits[-1]] * n
+    elif kind == "period2":
+        bits = [draw(st.sampled_from(POOL_BITS)), draw(st.sampled_from(POOL_BITS))] * n
+    else:
+        first, second = draw(st.sampled_from(BIT_TWINS))
+        turn, back = sorted(draw(st.tuples(st.integers(0, n), st.integers(0, n))))
+        bits = [first] * turn + [second] * (back - turn) + [first] * (n - back)
+    return np.array(bits[:n], dtype=np.uint64).view(np.float64)
+
+
+@st.composite
+def decay_pairs(draw):
+    pairs = []
+    for k in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 40))
+        columns = [draw(decay_column(n)) for _ in range(4)]
+        target = draw(st.sampled_from(FLOAT_POOL))
+        label = draw(st.sampled_from(["p", "a,b", 'say "hi"', "two\nlines", ""]))
+        pairs.append(_columns_pair(f"{label}{k}", *columns, complex(target, 0.0)))
+    return tuple(pairs)
+
+
+class TestDecayKernel:
+    """_write_rows formats each run of settled cells once and writes csv.writer's bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(decay_pairs(), st.integers(1, 50), st.data())
+    def test_equals_csv_writer(self, pairs, chunk, data):
+        rows = _reference_rows(pairs)
+        start = data.draw(st.integers(0, len(rows)))
+        stop = data.draw(st.integers(start, len(rows)))
+        out = io.StringIO(newline="")
+        with mock.patch.object(ss.runner, "_CSV_CHUNK_ROWS", chunk):
+            ss.runner._write_rows(out, pairs, start, stop)
+        assert out.getvalue() == "".join(rows[start:stop])
+
+    def test_settled_tail_is_formatted_once(self, monkeypatch):
+        head = np.linspace(0.5, 0.25, 24)
+        real = np.concatenate([head, np.full(1000, 0.125)])
+        pair = _columns_pair("settled", real, -real, real / 2, np.full(1024, 0.75), complex(0.125, 0.0))
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return repr(x)
+
+        monkeypatch.setattr(ss.runner, "repr", counting, raising=False)
+        out = io.StringIO(newline="")
+        ss.runner._write_rows(out, (pair,), 0, 1024)
+        monkeypatch.undo()
+        assert out.getvalue() == "".join(_reference_rows((pair,)))
+        # three settled cells for each of the 24 head rows and once for the tail; one Cesaro value
+        assert len(calls) == 3 * (24 + 1) + 1
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -5e-324, np.nan, NAN_PAYLOAD, np.inf, -np.inf, "\x00\x1f\x7f", "ρ⊗σ \ud83d", "\u2028"]),
+)
+JSON_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(), st.floats(width=16))
+NOT_JSON = st.one_of(st.builds(object), st.sets(st.integers(), max_size=2), st.binary(max_size=2), st.complex_numbers(),
+                     st.just(np.int64(1)), st.just(np.bool_(True)), st.just(np.float64(0.1)))
+
+
+def json_trees(leaves, keys):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(keys, children, max_size=4),
+        ),
+        max_leaves=25,
+    )
+
+
+class TestJsonText:
+    """_json_text writes json.dumps(obj, sort_keys=True, indent=2) byte for byte."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(json_trees(JSON_SCALARS, st.text(max_size=4)))
+    def test_equals_json_dumps(self, obj):
+        assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @settings(max_examples=500, deadline=None)
+    @given(json_trees(st.one_of(JSON_SCALARS, NOT_JSON), st.one_of(JSON_KEYS, st.tuples(st.integers()))))
+    def test_raises_where_json_dumps_does(self, obj):
+        try:
+            expected = json.dumps(obj, sort_keys=True, indent=2)
+        except TypeError:
+            with pytest.raises(TypeError):
+                _json_text(obj)
+        else:
+            assert _json_text(obj) == expected
+
+    @pytest.mark.parametrize("obj", [{}, [], (), {"a": [{}, [[]], ()]}, [True, 1, 1.0, False, 0, None], {True: 1, 2: 0, -1.5: 0}])
+    def test_edges(self, obj):
+        assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 class TestCLI:
@@ -810,6 +944,14 @@ class TestCLI:
         code = cli.main([str(path), "--output-dir", str(tmp_path)])
         assert code == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "4.5e3", "-5", "0"])
+    def test_exit_two_on_a_bad_dense_cap(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv(ss.operators.DENSE_CAP_ENV, value)
+        path = self.write_config(tmp_path)
+        assert cli.main([str(path), "--output-dir", str(tmp_path)]) == 2
+        assert f"{ss.operators.DENSE_CAP_ENV}: must be an integer >= 1, not {value!r}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_exit_two_on_a_config_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

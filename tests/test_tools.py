@@ -86,6 +86,26 @@ def test_a_nan_on_one_side_is_an_infinite_difference(tmp_path, nan_side):
     assert comparison.mismatches == []
 
 
+@pytest.mark.parametrize("value", [None, "0.5", [0.5], {"rate": 0.5}, True])
+def test_a_float_against_another_type_is_a_mismatch(tmp_path, value):
+    changed = json.loads(json.dumps(REPORT))
+    changed["sweep"]["decay"]["rate"] = value
+    result = _compare(_write(tmp_path / "a", REPORT), _write(tmp_path / "b", changed))
+    assert result.returncode == 1, result.stderr
+    assert "exact-field mismatches: 1" in result.stdout
+    assert f"run.report.json .sweep.decay.rate: 0.7 != {value!r}" in result.stdout
+
+
+def test_a_csv_value_that_is_no_number_is_a_mismatch(tmp_path):
+    a = _write(tmp_path / "a", REPORT, CSV.replace("0.25", "abc"))
+    b = _write(tmp_path / "b", REPORT)
+    result = _compare(a, b)
+    assert result.returncode == 1, result.stderr
+    assert "exact-field mismatches: 1" in result.stdout
+    assert "run.decay.csv line 3 corr_real: 'abc' != '0.25'" in result.stdout
+    assert _compare(a, a).returncode == 0  # the same cell on both sides matches
+
+
 def test_missing_file_and_csv_rows_mismatch(tmp_path):
     a = _write(tmp_path / "a", REPORT)
     b = _write(tmp_path / "b", REPORT, CSV + "proj_0,3,0.125\r\n")

@@ -11,7 +11,9 @@ integer except the ``worst_pair`` argmax of a check, and in each CSV the
 header, the row count and the pair and shift columns.
 
 Measured: every other number; a NaN on one side only counts as an
-infinite difference.  The script prints the largest absolute
+infinite difference.  A float against a value that is no number (null,
+a boolean, a string, a list or an object), and a CSV value cell that is
+no number on either side, are exact fields.  The script prints the largest absolute
 difference per file, for the JSON floats and the CSV floats separately,
 then the largest difference per JSON key and per CSV column over all
 files, and every ``worst_pair`` that moved.  Exit code 0 when every
@@ -47,6 +49,10 @@ def _diff(x: float, y: float) -> float:
     return abs(x - y)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class Comparison:
     """Collects the mismatches of exact fields and the float differences."""
 
@@ -74,7 +80,7 @@ class Comparison:
                 for i, (u, v) in enumerate(zip(x, y)):
                     walk(u, v, f"{path}[{i}]", key)
             elif isinstance(x, float) or isinstance(y, float):
-                if isinstance(x, bool) or isinstance(y, bool):
+                if not (_is_number(x) and _is_number(y)):
                     self.mismatches.append((name, path, x, y))
                     return
                 d = _diff(float(x), float(y))
@@ -103,7 +109,12 @@ class Comparison:
                 self.mismatches.append((name, f"line {line}", x[:2], y[:2]))
                 continue
             for column, u, v in zip(a[0][2:], x[2:], y[2:]):
-                d = _diff(float(u), float(v))
+                try:
+                    d = _diff(float(u), float(v))
+                except ValueError:
+                    if u != v:
+                        self.mismatches.append((name, f"line {line} {column}", u, v))
+                    continue
                 self.by_column[column] = max(self.by_column[column], d)
                 worst = max(worst, d)
         return worst
